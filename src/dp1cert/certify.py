@@ -20,6 +20,7 @@ import hashlib
 import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 
 from .exactalg import (
@@ -28,20 +29,20 @@ from .exactalg import (
     check_budget, pgl2_act, rational_roots, sqrt, squarefree_decomposition,
 )
 from .weier import (
-    CurvePoint, FieldUnsupported, HitsSingularPoint, ZeroY, add, mul,
-    nodal_param, non_torsion_certificate, order_class,
+    CurvePoint, FieldUnsupported, HitsSingularPoint, ZeroY, add,
+    nodal_param, non_torsion_certificate, order_class, phi_values,
 )
 from .dp1 import (
     Dp1Surface, InvalidPoint, IsBasePoint, WeightedPoint, is_smooth,
-    move_to_zero,
+    move_to_zero, parse_point,
 )
 from .cq5 import (
     BothVanish, MinusOneCurve, PositiveDimensional, build, components,
-    minus_one_scheme, sigma, vertical_test,
+    minus_one_scheme, section_constants, sigma, vertical_test,
 )
 from .genus1 import (
     InfinitudeCertificate, QuarticPoint, SingularQuartic, complete_square,
-    generate_points, infinitude_certificate, infinity_branches,
+    generate_points, infinitude_certificate, infinity_branches, scan_values,
     to_weierstrass,
 )
 
@@ -82,8 +83,6 @@ class RunParams:
     multiples: int = 8
     count: int = 25
     budget: int = DEFAULT_BIT_BUDGET
-    time_budget: float = 60.0
-    seed: int | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -157,24 +156,24 @@ class ComponentClass:
     fiber: str | None = None   # "a:b" for vertical images
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Certificate:
     surface_hash: str
     theorem: str                       # "1.2" | "1.3"
-    q_original: WeightedPoint | None
-    q_normalized: WeightedPoint | None
-    order: int | None                  # None: no order <= 12 detected
-    char5_ok: bool
-    minus_one_count: int | None
-    component_classes: tuple           # of ComponentClass
-    infinitude: str | None             # certificate kind
-    infinitude_description: str
+    q_original: WeightedPoint | None = None
+    q_normalized: WeightedPoint | None = None
+    order: int | None = None           # None: no order <= 12 detected
+    char5_ok: bool = True
+    minus_one_count: int | None = None
+    component_classes: tuple = ()      # of ComponentClass
+    infinitude: str | None = None      # certificate kind
+    infinitude_description: str = ""
     conclusion: str                    # DenseByTheorem12 | DenseByTheorem13 |
     #                                  # HypothesisFailed | Inconclusive
-    reasons: tuple
-    evidence: tuple                    # WeightedPoints on the input surface
-    distinct_fibers: int
-    resources: dict
+    reasons: tuple = ()
+    evidence: tuple = ()               # WeightedPoints on the input surface
+    distinct_fibers: int = 0
+    resources: dict = dc_field(default_factory=dict)
 
     @property
     def is_dense(self) -> bool:
@@ -216,16 +215,9 @@ def certificate_to_json(cert: Certificate) -> dict:
     }
 
 
-def _parse_point(text: str, field) -> WeightedPoint:
-    parts = [field.element_from_str(s.strip()) for s in text.split(",")]
-    if len(parts) != 4:
-        raise ExactAlgError("a point needs four coordinates")
-    return WeightedPoint(*parts)
-
-
 def certificate_from_json(doc: dict, field) -> Certificate:
     def pt(text):
-        return None if text is None else _parse_point(text, field)
+        return None if text is None else parse_point(text, field)
     return Certificate(
         surface_hash=doc["surface_hash"],
         theorem=doc["theorem"],
@@ -299,24 +291,24 @@ def _transform_point(M, P: WeightedPoint) -> WeightedPoint:
     return WeightedPoint(P.x, P.y, a * P.z + b * P.w, c * P.z + d * P.w)
 
 
+def _evidence_on_input(S: Dp1Surface, M, points) -> tuple:
+    """Evidence found on the transformed surface, mapped back through M and
+    re-checked on the input surface S."""
+    evidence = tuple(_transform_point(M, P) for P in points)
+    if not all(S.contains(P) for P in evidence):
+        raise ExactAlgError("transformed evidence point off the surface")
+    return evidence
+
+
+def _curve_point_count(params: RunParams) -> int:
+    """Section-curve points to generate for params.count evidence points at
+    params.multiples fiber multiples each (at least six)."""
+    return max(6, -(-params.count // max(params.multiples, 1)) + 2)
+
+
 # ---------------------------------------------------------------------------
 # the order-3-or-more condition checker
 # ---------------------------------------------------------------------------
-
-def _order_on_fiber(E, P, bound=12):
-    """Order of P in the smooth-locus group, or None when > bound."""
-    if E.kind == "smooth":
-        return order_class(E, P, bound)
-    acc = CurvePoint.identity()
-    for n in range(1, bound + 1):
-        try:
-            acc = add(E, acc, P)
-        except HitsSingularPoint:
-            return None
-        if acc.is_identity:
-            return n
-    return None
-
 
 def _infinitude_on_horizontal(data, horizontal, height):
     """Pick a horizontal component and certify it has infinitely many
@@ -353,19 +345,15 @@ def check_conditions(S: Dp1Surface, Q: WeightedPoint,
 
     shash = surface_hash(S)
     resources = {"height": params.height, "multiples": params.multiples}
+    found = {}      # hypothesis data established so far
 
-    def emit(conclusion, reasons=(), order=None, char5_ok=True,
-             minus_count=None, classes=(), inf=None, inf_desc="",
-             evidence=(), fibers=0):
+    def emit(conclusion, reasons=(), **fields):
         resources["elapsed_s"] = round(time.monotonic() - t_start, 3)
         cert = Certificate(
             surface_hash=shash, theorem="1.2", q_original=Q,
-            q_normalized=norm.point, order=order, char5_ok=char5_ok,
-            minus_one_count=minus_count, component_classes=tuple(classes),
-            infinitude=inf, infinitude_description=inf_desc,
-            conclusion=conclusion, reasons=tuple(reasons),
-            evidence=tuple(evidence), distinct_fibers=fibers,
-            resources=dict(resources))
+            q_normalized=norm.point, conclusion=conclusion,
+            reasons=tuple(reasons), resources=dict(resources), **found,
+            **fields)
         if conclusion == "DenseByTheorem12":
             _assert_dense12_sound(cert)
         return cert
@@ -376,25 +364,29 @@ def check_conditions(S: Dp1Surface, Q: WeightedPoint,
                     ["Q is fixed by y -> -y (order at most 2)"], order=2)
 
     E = norm.surface.fiber(S.field.zero, S.field.one)
-    order = _order_on_fiber(E, CurvePoint(x0, y0))
+    try:
+        order = order_class(E, CurvePoint(x0, y0))
+    except HitsSingularPoint:
+        order = None
     reasons = []
     char5_ok = not (S.field.char == 5 and order == 5)
     if not char5_ok:
         reasons.append("order-5 point in characteristic 5")
+    found.update(order=order, char5_ok=char5_ok)
 
     data = build(norm.surface, norm.point)
-    minus_count = None
     if order in (3, 5):
         try:
             minus_count = minus_one_scheme(data).distinct_count
         except PositiveDimensional:
             reasons.append("(-1)-curve locus through Q is not "
                            "zero-dimensional")
-        if minus_count is not None and minus_count >= 6:
-            reasons.append(f"Q lies on {minus_count} >= 6 (-1)-curves")
+        else:
+            found["minus_one_count"] = minus_count
+            if minus_count >= 6:
+                reasons.append(f"Q lies on {minus_count} >= 6 (-1)-curves")
     if reasons:
-        return emit("HypothesisFailed", reasons, order=order,
-                    char5_ok=char5_ok, minus_count=minus_count)
+        return emit("HypothesisFailed", reasons)
 
     classes = []
     horizontal = []
@@ -412,52 +404,39 @@ def check_conditions(S: Dp1Surface, Q: WeightedPoint,
                                       v.kind, fiber))
         if v.kind == "horizontal":
             horizontal.append(comp)
+    found["component_classes"] = tuple(classes)
 
     if not horizontal:
         return emit("Inconclusive",
-                    ["no horizontal component of the section curve"],
-                    order=order, char5_ok=char5_ok, minus_count=minus_count,
-                    classes=classes)
+                    ["no horizontal component of the section curve"])
     if not isinstance(S.field, RationalField):
         return emit("Inconclusive",
                     ["density certification is implemented over the "
-                     "rationals only"],
-                    order=order, char5_ok=char5_ok, minus_count=minus_count,
-                    classes=classes)
+                     "rationals only"])
 
     inf_cert, comp = _infinitude_on_horizontal(data, horizontal,
                                                params.height)
     if inf_cert is None or inf_cert.kind == "inconclusive":
         desc = inf_cert.description if inf_cert else \
             "no rational-point certificate on a horizontal component"
-        return emit("Inconclusive", [desc], order=order, char5_ok=char5_ok,
-                    minus_count=minus_count, classes=classes,
-                    inf="inconclusive", inf_desc=desc)
+        return emit("Inconclusive", [desc], infinitude="inconclusive",
+                    infinitude_description=desc)
+    found.update(infinitude=inf_cert.kind,
+                 infinitude_description=inf_cert.description)
 
-    n_curve = max(6, -(-params.count // max(params.multiples, 1)) + 2)
     try:
-        pts = generate_points(data, inf_cert, n_curve, params.budget)
+        pts = generate_points(data, inf_cert, _curve_point_count(params),
+                              params.budget)
     except OverHeightBudget as exc:
-        return emit("Inconclusive", [f"point generation: {exc}"],
-                    order=order, char5_ok=char5_ok, minus_count=minus_count,
-                    classes=classes, inf=inf_cert.kind,
-                    inf_desc=inf_cert.description)
+        return emit("Inconclusive", [f"point generation: {exc}"])
     report = density_evidence(norm.surface, data, pts, params.multiples,
                               params.budget)
     if report.distinct_fibers < 2 or len(report.points) < 2:
         return emit("Inconclusive",
-                    ["density evidence touches fewer than two fibers"],
-                    order=order, char5_ok=char5_ok, minus_count=minus_count,
-                    classes=classes, inf=inf_cert.kind,
-                    inf_desc=inf_cert.description)
-    evidence = [_transform_point(norm.matrix, P) for P in report.points]
-    for P in evidence:
-        if not S.contains(P):
-            raise ExactAlgError("transformed evidence point off the surface")
-    return emit("DenseByTheorem12", [], order=order, char5_ok=char5_ok,
-                minus_count=minus_count, classes=classes, inf=inf_cert.kind,
-                inf_desc=inf_cert.description, evidence=evidence,
-                fibers=report.distinct_fibers)
+                    ["density evidence touches fewer than two fibers"])
+    return emit("DenseByTheorem12",
+                evidence=_evidence_on_input(S, norm.matrix, report.points),
+                distinct_fibers=report.distinct_fibers)
 
 
 def _assert_dense12_sound(cert: Certificate):
@@ -498,16 +477,6 @@ def _nodal_fiber_candidates(S: Dp1Surface):
     return out
 
 
-def _scan_s_values(limit=50):
-    k = 2
-    n = 0
-    while n < limit:
-        yield k
-        yield -k
-        n += 2
-        k += 1
-
-
 def nodal_density(S: Dp1Surface, params: RunParams | None = None) \
         -> Certificate:
     params = params or RunParams()
@@ -529,27 +498,14 @@ def nodal_density(S: Dp1Surface, params: RunParams | None = None) \
         S2 = Dp1Surface(pgl2_act(M, S.f), pgl2_act(M, S.g))
         f0, g0 = S2.f.coeffs[0], S2.g.coeffs[0]
         d = -3 * g0 / (2 * f0)
-        for s_int in _scan_s_values():
-            s = K(s_int)
-            if s * s == 3 * d:
-                continue
+        E0 = S2.fiber(K.zero, K.one)
+        for s in islice(scan_values(K), 3, 53):      # s = 2, -2, ..., -26
             try:
                 Q0 = nodal_param(d, s)
+                # infinite order on the nodal group: no n Q0 = O for n <= 12
+                if order_class(E0, Q0, 12) is not None:
+                    continue
             except (ZeroY, HitsSingularPoint):
-                continue
-            # infinite order on the nodal group: no n Q0 = O for n <= 12
-            E0 = S2.fiber(K.zero, K.one)
-            acc = CurvePoint.identity()
-            torsion = False
-            try:
-                for _ in range(12):
-                    acc = add(E0, acc, Q0)
-                    if acc.is_identity:
-                        torsion = True
-                        break
-            except HitsSingularPoint:
-                continue
-            if torsion:
                 continue
             Q = WeightedPoint(Q0.x, Q0.y, K.zero, K.one)
             try:
@@ -573,7 +529,7 @@ def nodal_density(S: Dp1Surface, params: RunParams | None = None) \
             inf_cert = InfinitudeCertificate(
                 "non_torsion_class", verdict.reason, E=maps.E, point=img,
                 witness=(b1, b2), maps=maps, model=model, base=b1)
-            n_curve = max(6, -(-params.count // max(params.multiples, 1)) + 2)
+            n_curve = _curve_point_count(params)
             try:
                 report = None
                 while n_curve <= 4 * params.count:
@@ -591,60 +547,24 @@ def nodal_density(S: Dp1Surface, params: RunParams | None = None) \
                     or report.distinct_fibers < 2:
                 reasons.append("insufficient density evidence")
                 continue
-            evidence = [_transform_point(M, P) for P in report.points]
-            for P in evidence:
-                if not S.contains(P):
-                    raise ExactAlgError("transformed evidence point off "
-                                        "the surface")
+            evidence = _evidence_on_input(S, M, report.points)
             resources["elapsed_s"] = round(time.monotonic() - t_start, 3)
             return Certificate(
                 surface_hash=shash, theorem="1.3",
                 q_original=_transform_point(M, Q), q_normalized=Q,
-                order=None, char5_ok=True, minus_one_count=None,
-                component_classes=(), infinitude="non_torsion_class",
+                infinitude="non_torsion_class",
                 infinitude_description=verdict.reason,
-                conclusion="DenseByTheorem13", reasons=(),
-                evidence=tuple(evidence),
-                distinct_fibers=report.distinct_fibers,
-                resources=dict(resources))
+                conclusion="DenseByTheorem13", evidence=evidence,
+                distinct_fibers=report.distinct_fibers, resources=resources)
     resources["elapsed_s"] = round(time.monotonic() - t_start, 3)
-    return Certificate(
-        surface_hash=shash, theorem="1.3", q_original=None, q_normalized=None,
-        order=None, char5_ok=True, minus_one_count=None,
-        component_classes=(), infinitude=None, infinitude_description="",
-        conclusion="Inconclusive", reasons=tuple(reasons), evidence=(),
-        distinct_fibers=0, resources=dict(resources))
+    return Certificate(surface_hash=shash, theorem="1.3",
+                       conclusion="Inconclusive", reasons=tuple(reasons),
+                       resources=resources)
 
 
 # ---------------------------------------------------------------------------
 # symbolic verification of the transformed nodal model over Q(x0)
 # ---------------------------------------------------------------------------
-
-def _symbolic_c_values(F, fco, gco):
-    """c1..c9 over the function field: every c_i is even in y0, hence a
-    rational function of x0 once phi2 = 4(x0^3 + f0 x0 + g0) is used."""
-    x0 = F.gen()
-    psi = 6 * x0 ** 2 + 2 * fco[0]
-    p2 = 4 * (x0 ** 3 + fco[0] * x0 + gco[0])
-    p3 = 3 * x0 * p2 - psi * psi / F(4)
-    p4 = psi * p3 - p2 * p2
-    h = [(fco[i] * x0 + gco[i]) * p2 ** (i - 1) for i in range(1, 7)]
-    l = [fco[i] * p2 ** i - h[i - 1] * psi for i in range(1, 7)]
-    h1, h2, h3, h4 = h[0], h[1], h[2], h[3]
-    l1, l2, l3 = l[0], l[1], l[2]
-    c1 = p2 ** 2 * p3
-    c2 = -3 * p2 * p4
-    c3 = -2 * p2 * (l1 * psi + 2 * h1 * p3)
-    c4 = p2 * (h1 ** 2 * psi - 2 * l1 * h1 + l2)
-    c5 = p3 ** 2 - p4 * psi
-    c6 = 2 * l1 * p3 - 2 * h1 * p2 ** 2 - 4 * h1 * p4 - l1 * psi ** 2
-    c7 = (h1 ** 2 * psi ** 2 - 2 * (3 * h1 ** 2 - h2) * p3
-          - (4 * l1 * h1 - l2) * psi + l1 ** 2)
-    c8 = ((4 * h1 ** 3 - 2 * h1 * h2) * psi - 6 * l1 * h1 ** 2
-          + 2 * l1 * h2 + 2 * l2 * h1 - l3)
-    c9 = 5 * h1 ** 4 - 6 * h1 ** 2 * h2 + 2 * h1 * h3 + h2 ** 2 - h4
-    return (c1, c2, c3, c4, c5, c6, c7, c8, c9), p2
-
 
 def _eval_ff(el: FieldElement, v):
     """Evaluate a reduced rational function of x0 at a rational value."""
@@ -673,8 +593,11 @@ def verify_nodal_model(S: Dp1Surface) -> dict:
     gco = [F(c) for c in S.g.coeffs]
     d = -3 * gco[0] / (2 * fco[0])
     c_lin = fco[1] * d + gco[1]            # f1 d + g1, nonzero (simple root)
-    c, p2 = _symbolic_c_values(F, fco, gco)
-    c1 = c[0]
+    # every c_i is even in y0, hence a rational function of x0 once
+    # phi2 = 4(x0^3 + f0 x0 + g0) is used
+    phis = phi_values(fco[0], gco[0], x0)
+    _, _, c = section_constants(fco, gco, x0, phis)
+    c1, p2 = c[0], phis.phi2
 
     Lf = BinaryForm(F, 2, [c[3], c[2], c[1]])
     RHSf = BinaryForm(F, 4, [c[8], c[7], c[6], c[5], c[4]])
@@ -750,7 +673,6 @@ def search_surface_points(S: Dp1Surface, height: int = 8, limit: int = 8):
     K = S.field
     if not isinstance(K, RationalField):
         raise FieldUnsupported("surface point search needs QQ")
-    from math import isqrt
     found = []
     fiber_dirs = [(K(t), K.one) for t in range(-height, height + 1)]
     fiber_dirs.append((K.one, K.zero))
@@ -762,14 +684,7 @@ def search_surface_points(S: Dp1Surface, height: int = 8, limit: int = 8):
                 if gcd(abs(xn), xd) != 1:
                     continue
                 x = K(Fraction(xn, xd))
-                rhs = (x ** 3 + A * x + B).rep
-                if rhs < 0:
-                    continue
-                n, dd = rhs.numerator, rhs.denominator
-                rn, rd = isqrt(n), isqrt(dd)
-                if rn * rn != n or rd * rd != dd:
-                    continue
-                y = K(Fraction(rn, rd))
+                y = sqrt(x ** 3 + A * x + B)
                 if not y:
                     continue
                 found.append(WeightedPoint(x, y, z0, w0))

@@ -15,7 +15,9 @@ import sys
 from .exactalg import (
     DEFAULT_BIT_BUDGET, ExactAlgError, PrimeField, QQ, rational_roots,
 )
-from .dp1 import Dp1Surface, WeightedPoint, fiber_census, is_smooth
+from .dp1 import (
+    Dp1Surface, ParseError, fiber_census, is_smooth, parse_point,
+)
 from .cq5 import build, omega_points, sigma, sigma_at_omega
 from .certify import (
     Certificate, KodairaType, RunParams, base_change_fiber_type,
@@ -24,10 +26,6 @@ from .certify import (
 )
 
 BUDGET_ENV = "DP1CERT_BIT_BUDGET"
-
-
-class ParseError(ExactAlgError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -71,17 +69,6 @@ def load_surface(path: str) -> Dp1Surface:
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read surface file {path}: {exc}") from exc
     return parse_surface(doc)
-
-
-def parse_point(text: str, field) -> WeightedPoint:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ParseError(f"a point needs four coordinates, got {text!r}")
-    try:
-        return WeightedPoint(*[field.element_from_str(s.strip())
-                               for s in parts])
-    except (ValueError, ExactAlgError) as exc:
-        raise ParseError(f"bad point {text!r}: {exc}") from exc
 
 
 def parse_scalar_pair(text: str, field):
@@ -131,9 +118,14 @@ def _exit_code(cert: Certificate) -> int:
 
 
 def _run_params(args) -> RunParams:
-    budget = int(os.environ.get(BUDGET_ENV, DEFAULT_BIT_BUDGET))
+    try:
+        budget = int(os.environ.get(BUDGET_ENV, DEFAULT_BIT_BUDGET))
+    except ValueError:
+        budget = 0
+    if budget <= 0:
+        raise ParseError(f"{BUDGET_ENV} must be a positive integer")
     kwargs = {"budget": budget}
-    for name in ("height", "multiples", "count", "seed"):
+    for name in ("height", "multiples", "count"):
         value = getattr(args, name, None)
         if value is not None:
             kwargs[name] = value
@@ -184,12 +176,8 @@ def cmd_certify(args, out):
         if cert is None:
             cert = Certificate(
                 surface_hash=surface_hash(S), theorem="1.2",
-                q_original=None, q_normalized=None, order=None,
-                char5_ok=True, minus_one_count=None, component_classes=(),
-                infinitude=None, infinitude_description="",
                 conclusion="Inconclusive",
-                reasons=("no rational point found by the bounded search",),
-                evidence=(), distinct_fibers=0, resources={})
+                reasons=("no rational point found by the bounded search",))
     _emit(certificate_to_json(cert), args.format, out)
     return _exit_code(cert)
 
@@ -276,11 +264,18 @@ def _add_run_flags(sp):
     sp.add_argument("--height", type=int, default=None)
     sp.add_argument("--multiples", type=int, default=None)
     sp.add_argument("--count", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports bad arguments as ParseError (exit code 1) instead of
+    exiting with argparse's code 2, which means HypothesisFailed here."""
+
+    def error(self, message):
+        raise ParseError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="dp1cert",
         description="Zariski-density certification for rational points on "
                     "degree-1 del Pezzo surfaces y^2 = x^3 + f x + g")
@@ -329,8 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args, out)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

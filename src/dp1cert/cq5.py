@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .exactalg import (
     BiPoly, ExactAlgError, FieldElement, PrimeField, QuotientExt,
-    UniPoly, UnsupportedField, poly_gcd, rational_roots,
+    UniPoly, UnsupportedField, ZeroDivisor, poly_gcd, rational_roots,
     resultant_q, sqrt, squarefree_decomposition, squarefree_part,
 )
 from .dp1 import Dp1Surface, SectionCurve, WeightedPoint, section_surface_form
@@ -110,22 +110,11 @@ def f_formulas(S: Dp1Surface, x0, y0, a, b, c, p, q) -> list:
     return [F0, F1, F2, F3, F4, F5, F6]
 
 
-def build(S: Dp1Surface, Q: WeightedPoint) -> CQ5Data:
-    """All derived constants for the normalized pair (S, Q = (x0:y0:0:1))."""
-    if Q.z or not Q.w:
-        raise ExactAlgError("Q must be normalized over the fiber (0:1)")
-    if not S.contains(Q):
-        raise ExactAlgError("Q is not on the surface")
-    x0, y0 = Q.x, Q.y
-    if not y0:
-        raise TwoTorsionPoint("y0 = 0: Q is fixed by y -> -y")
-    K = S.field
-    f = tuple(S.f.coeffs) + (K.zero, K.zero)   # f0..f6 with f5 = f6 = 0
-    g = tuple(S.g.coeffs)
-    v = phi_values(f[0], g[0], x0)
-    psi, p2, p3, p4, p5, p6 = v.psi, v.phi2, v.phi3, v.phi4, v.phi5, v.phi6
-    if p2 != 4 * y0 ** 2:
-        raise ExactAlgError("phi2 != 4 y0^2: Q not on its fiber")
+def section_constants(f, g, x0, v: PhiValues):
+    """h1..h6, l1..l6 and c1..c9 from f0..f6 (f5 = f6 = 0), g0..g6, x0 and
+    the Phi values at x0. Field-generic: used over the base field and over
+    the function field Q(x0)."""
+    psi, p2, p3, p4 = v.psi, v.phi2, v.phi3, v.phi4
     h = tuple((f[i] * x0 + g[i]) * p2 ** (i - 1) for i in range(1, 7))
     l = tuple(f[i] * p2 ** i - h[i - 1] * psi for i in range(1, 7))
     h1, h2, h3, h4 = h[0], h[1], h[2], h[3]
@@ -140,8 +129,30 @@ def build(S: Dp1Surface, Q: WeightedPoint) -> CQ5Data:
           - (4 * l1 * h1 - l2) * psi + l1 ** 2)
     c8 = ((4 * h1 ** 3 - 2 * h1 * h2) * psi - 6 * l1 * h1 ** 2
           + 2 * l1 * h2 + 2 * l2 * h1 - l3)
-    c9 = 5 * h1 ** 4 - 6 * h1 ** 2 * h2 + 2 * h1 * h3 + h2 ** 2 - h[3]
-    c = (c1, c2, c3, c4, c5, c6, c7, c8, c9)
+    c9 = 5 * h1 ** 4 - 6 * h1 ** 2 * h2 + 2 * h1 * h3 + h2 ** 2 - h4
+    return h, l, (c1, c2, c3, c4, c5, c6, c7, c8, c9)
+
+
+def build(S: Dp1Surface, Q: WeightedPoint) -> CQ5Data:
+    """All derived constants for the normalized pair (S, Q = (x0:y0:0:1))."""
+    if Q.z or not Q.w:
+        raise ExactAlgError("Q must be normalized over the fiber (0:1)")
+    if not S.contains(Q):
+        raise ExactAlgError("Q is not on the surface")
+    x0, y0 = Q.x, Q.y
+    if not y0:
+        raise TwoTorsionPoint("y0 = 0: Q is fixed by y -> -y")
+    K = S.field
+    f = tuple(S.f.coeffs) + (K.zero, K.zero)   # f0..f6 with f5 = f6 = 0
+    g = tuple(S.g.coeffs)
+    v = phi_values(f[0], g[0], x0)
+    psi, p2, p3, p4 = v.psi, v.phi2, v.phi3, v.phi4
+    if p2 != 4 * y0 ** 2:
+        raise ExactAlgError("phi2 != 4 y0^2: Q not on its fiber")
+    h, l, c = section_constants(f, g, x0, v)
+    h1, h2, h3 = h[0], h[1], h[2]
+    l1, l2 = l[0], l[1]
+    c1, c2, c3, c4, c5, c6, c7, c8, c9 = c
     if not c1 and not c2:
         raise ExactAlgError("c1 = c2 = 0: degenerate section curve")
 
@@ -293,37 +304,28 @@ class MinusOneScheme:
     solutions: tuple     # (description, p-degree, q-count) triples
 
 
-def _eval_in_ext(poly: UniPoly, gen: FieldElement) -> FieldElement:
-    acc = gen.field.zero
-    for c in reversed(poly.coeffs):
-        acc = acc * gen + gen.field(c)
-    return acc
+def _q_polys_at(Fs, p0) -> list:
+    """Substitute p = p0 into each BiPoly, giving UniPolys in q over the
+    field of p0 (the base field, or K[p]/(modulus) with p0 its generator)."""
+    return [UniPoly(p0.field, [cp(p0) for cp in F.coeffs_in_q()], "q")
+            for F in Fs]
 
 
-def _q_polys_mod(Fs, modulus: UniPoly):
-    """Substitute p = generator of K[p]/(modulus) into each BiPoly, giving
-    UniPolys in q over the extension."""
-    ext = QuotientExt(modulus)
-    gen = ext.generator()
-    out = []
-    for F in Fs:
-        coeffs = [_eval_in_ext(cp, gen) for cp in F.coeffs_in_q()]
-        out.append(UniPoly(ext, coeffs, "q"))
-    return ext, out
+def _q_gcd(Fs_q) -> UniPoly:
+    """gcd of the nonzero q-polynomials."""
+    g = None
+    for F in Fs_q:
+        if not F.is_zero():
+            g = F if g is None else poly_gcd(g, F)
+    if g is None:
+        raise PositiveDimensional("all three polynomials vanish")
+    return g
 
 
 def _q_count_over(Fs_q) -> int:
-    """Degree of the squarefree gcd of the q-polynomials (all nonzero)."""
-    g = None
-    for F in Fs_q:
-        if F.is_zero():
-            continue
-        g = F if g is None else poly_gcd(g, F)
-    if g is None:
-        raise PositiveDimensional("all three polynomials vanish")
-    if g.degree() <= 0:
-        return 0
-    return squarefree_part(g).degree()
+    """Degree of the squarefree gcd of the q-polynomials."""
+    g = _q_gcd(Fs_q)
+    return squarefree_part(g).degree() if g.degree() > 0 else 0
 
 
 def _count_for_modulus(Fs, modulus: UniPoly) -> int:
@@ -333,15 +335,11 @@ def _count_for_modulus(Fs, modulus: UniPoly) -> int:
         return 0
     if modulus.degree() == 1:
         # direct substitution at the rational root
-        K = modulus.field
         root = -modulus.coeff(0) / modulus.coeff(1)
-        qs = [UniPoly(K, [cp(root) for cp in F.coeffs_in_q()], "q")
-              for F in Fs]
-        return _q_count_over(qs)
-    from .exactalg import ZeroDivisor
+        return _q_count_over(_q_polys_at(Fs, root))
     try:
-        _, qs = _q_polys_mod(Fs, modulus)
-        return modulus.degree() * _q_count_over(qs)
+        gen = QuotientExt(modulus).generator()
+        return modulus.degree() * _q_count_over(_q_polys_at(Fs, gen))
     except ZeroDivisor as zd:
         # dynamic evaluation: recurse on both factors of the split modulus
         m1 = UniPoly(modulus.field, list(zd.factor1.coeffs), modulus.var)
@@ -349,22 +347,26 @@ def _count_for_modulus(Fs, modulus: UniPoly) -> int:
         return _count_for_modulus(Fs, m1) + _count_for_modulus(Fs, m2)
 
 
-def minus_one_scheme(data: CQ5Data) -> MinusOneScheme:
-    """Counts the distinct geometric solutions of F4 = F5 = F6 = 0 by
-    q-elimination: pairwise resultants in q, then per-root q-counting."""
-    Fs = (data.F4, data.F5, data.F6)
-    res = []
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if Fs[i].deg_q() < 0 or Fs[j].deg_q() < 0:
-                raise PositiveDimensional("a defining polynomial vanishes")
-            res.append(resultant_q(Fs[i], Fs[j]))
+def _eliminate_q(Fs) -> UniPoly:
+    """T0 = gcd of the nonzero pairwise resultants Res_q of F4, F5, F6; the
+    p-coordinates of the common zeros are roots of T0."""
+    res = [resultant_q(Fs[i], Fs[j]) for i, j in ((0, 1), (0, 2), (1, 2))]
     nonzero = [r for r in res if not r.is_zero()]
     if not nonzero:
         raise PositiveDimensional("all pairwise resultants vanish")
     T0 = nonzero[0]
     for r in nonzero[1:]:
         T0 = poly_gcd(T0, r)
+    return T0
+
+
+def minus_one_scheme(data: CQ5Data) -> MinusOneScheme:
+    """Counts the distinct geometric solutions of F4 = F5 = F6 = 0 by
+    q-elimination: pairwise resultants in q, then per-root q-counting."""
+    Fs = (data.F4, data.F5, data.F6)
+    if any(F.deg_q() < 0 for F in Fs):
+        raise PositiveDimensional("a defining polynomial vanishes")
+    T0 = _eliminate_q(Fs)
     if T0.degree() <= 0:
         return MinusOneScheme(0, 0, ())
     solutions = []
@@ -395,30 +397,12 @@ def minus_one_scheme(data: CQ5Data) -> MinusOneScheme:
 def minus_one_rational_points(data: CQ5Data) -> list:
     """The base-field-rational solutions of F4 = F5 = F6 = 0."""
     Fs = (data.F4, data.F5, data.F6)
-    res = []
-    for i in range(3):
-        for j in range(i + 1, 3):
-            res.append(resultant_q(Fs[i], Fs[j]))
-    nonzero = [r for r in res if not r.is_zero()]
-    if not nonzero:
-        raise PositiveDimensional("all pairwise resultants vanish")
-    T0 = nonzero[0]
-    for r in nonzero[1:]:
-        T0 = poly_gcd(T0, r)
+    T0 = _eliminate_q(Fs)
     if T0.degree() <= 0:
         return []
-    K = data.field
     out = []
     for p0 in rational_roots(squarefree_part(T0)):
-        qs = [UniPoly(K, [cp(p0) for cp in F.coeffs_in_q()], "q")
-              for F in Fs]
-        g = None
-        for F in qs:
-            if F.is_zero():
-                continue
-            g = F if g is None else poly_gcd(g, F)
-        if g is None:
-            raise PositiveDimensional("all three polynomials vanish")
+        g = _q_gcd(_q_polys_at(Fs, p0))
         for q0 in rational_roots(g) if g.degree() > 0 else []:
             out.append((p0, q0))
     return out

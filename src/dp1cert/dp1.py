@@ -35,6 +35,10 @@ class SmoothnessViolated(ExactAlgError):
     pass
 
 
+class ParseError(ExactAlgError):
+    pass
+
+
 # ---------------------------------------------------------------------------
 # weighted points
 # ---------------------------------------------------------------------------
@@ -90,6 +94,18 @@ class WeightedPoint:
 
     def __repr__(self):
         return f"({self.x}:{self.y}:{self.z}:{self.w})"
+
+
+def parse_point(text: str, field) -> WeightedPoint:
+    """A point from its exact text form "x,y,z,w"."""
+    parts = text.split(",")
+    if len(parts) != 4:
+        raise ParseError(f"a point needs four coordinates, got {text!r}")
+    try:
+        return WeightedPoint(*[field.element_from_str(s.strip())
+                               for s in parts])
+    except (ValueError, ExactAlgError) as exc:
+        raise ParseError(f"bad point {text!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -725,7 +725,7 @@ class UniPoly:
             x = self.field(x)
         acc = x.field.zero
         for c in reversed(self.coeffs):
-            acc = acc * x + (x.field(c.rep) if c.field == x.field else _lift(c, x.field))
+            acc = acc * x + (x.field(c.rep) if c.field == x.field else x.field(c))
         return acc
 
     def compose(self, other: "UniPoly") -> "UniPoly":
@@ -738,9 +738,6 @@ class UniPoly:
         """p(t + a)."""
         lin = UniPoly(self.field, [a, 1], self.var)
         return self.compose(lin)
-
-    def reversed_coeffs(self) -> "UniPoly":
-        return UniPoly(self.field, list(reversed(self.coeffs)), self.var)
 
     def __eq__(self, other):
         if isinstance(other, UniPoly):
@@ -768,11 +765,6 @@ class UniPoly:
                              if not ("/" in cs or "+" in cs or " " in cs)
                              else f"({cs})*{mono}")
         return " + ".join(parts).replace("+ -", "- ")
-
-
-def _lift(c: FieldElement, target: Field) -> FieldElement:
-    """Lift a base-field element into an extension/function field over it."""
-    return target(c)
 
 
 def _ext_gcd(a: UniPoly, b: UniPoly):
@@ -1189,21 +1181,6 @@ class BiPoly:
     def d_q(self) -> "BiPoly":
         return BiPoly(self.field, {(i, j - 1): c * j
                                    for (i, j), c in self.terms.items() if j})
-
-    def subs_q_poly(self, qpoly: UniPoly) -> UniPoly:
-        """Substitute q = qpoly(p); returns a UniPoly in p."""
-        var = qpoly.var
-        out = UniPoly(self.field, [], var)
-        for poly_j, j in zip(self.coeffs_in_q(var), range(self.deg_q() + 1)):
-            out = out + poly_j * (qpoly ** j)
-        return out
-
-    def content_in_p(self, var: str = "p") -> UniPoly:
-        """gcd in K[p] of the q-coefficients."""
-        g = UniPoly(self.field, [], var)
-        for c in self.coeffs_in_q(var):
-            g = poly_gcd(g, c)
-        return g
 
     def __eq__(self, other):
         if isinstance(other, BiPoly):

@@ -112,15 +112,12 @@ def branch_to_v_slope(model: QuarticModel, alpha) -> FieldElement:
 # point search
 # ---------------------------------------------------------------------------
 
-def _rational_square_root(value: Fraction):
-    if value < 0:
-        return None
-    from math import isqrt
-    n, d = value.numerator, value.denominator
-    rn, rd = isqrt(n), isqrt(d)
-    if rn * rn != n or rd * rd != d:
-        return None
-    return Fraction(rn, rd)
+def _small_rationals(K, height: int):
+    """u/w in lowest terms with 1 <= w <= height and |u| <= height."""
+    for w in range(1, height + 1):
+        for u in range(-height, height + 1):
+            if gcd(abs(u), w) == 1:
+                yield K(Fraction(u, w))
 
 
 def search_points(model: QuarticModel, height: int) -> list:
@@ -131,18 +128,13 @@ def search_points(model: QuarticModel, height: int) -> list:
         raise FieldUnsupported("point search needs QQ")
     out = [QuarticPoint("at_infinity", branch=a)
            for a in infinity_branches(model)]
-    for w in range(1, height + 1):
-        for u in range(-height, height + 1):
-            if gcd(abs(u), w) != 1:
-                continue
-            p = K(Fraction(u, w))
-            r = _rational_square_root(model.D(p).rep)
-            if r is None:
-                continue
-            v = K(r)
-            out.append(QuarticPoint("affine", p=p, v=v))
-            if v:
-                out.append(QuarticPoint("affine", p=p, v=-v))
+    for p in _small_rationals(K, height):
+        v = sqrt(model.D(p))
+        if v is None:
+            continue
+        out.append(QuarticPoint("affine", p=p, v=v))
+        if v:
+            out.append(QuarticPoint("affine", p=p, v=-v))
     return out
 
 
@@ -373,17 +365,12 @@ def _rational_quartic_certificate(model: QuarticModel, height: int):
             param=("linear", sq, red), model=model)
     if red.degree() == 2:
         # conic vbar^2 = red(p): needs one rational point
-        for w in range(1, height + 1):
-            for u in range(-height, height + 1):
-                if gcd(abs(u), w) != 1:
-                    continue
-                p = K(Fraction(u, w))
-                r = _rational_square_root(red(p).rep)
-                if r is not None:
-                    return InfinitudeCertificate(
-                        "rational_component", "line pencil through a conic "
-                        "point", param=("conic", sq, red, p, K(r)),
-                        model=model)
+        for p in _small_rationals(K, height):
+            r = sqrt(red(p))
+            if r is not None:
+                return InfinitudeCertificate(
+                    "rational_component", "line pencil through a conic point",
+                    param=("conic", sq, red, p, r), model=model)
         # a rational point at infinity of the conic also works, but then the
         # leading coefficient is a square and affine points abound; skip
         return None
@@ -435,13 +422,22 @@ def infinitude_certificate(data: CQ5Data, height: int = 40) \
 # point generation
 # ---------------------------------------------------------------------------
 
-def _scan_values(field):
+def scan_values(field):
+    """0, 1, -1, 2, -2, ... as elements of field."""
     yield field.zero
     k = 1
     while True:
         yield field(k)
         yield field(-k)
         k += 1
+
+
+def _parameters(field, max_iter: int):
+    """scan_values, raising OverHeightBudget after max_iter + 1 values."""
+    for i, t in enumerate(scan_values(field)):
+        if i > max_iter:
+            raise OverHeightBudget("parameter scan exhausted")
+        yield t
 
 
 def generate_points(data: CQ5Data, cert: InfinitudeCertificate, count: int,
@@ -473,42 +469,32 @@ def generate_points(data: CQ5Data, cert: InfinitudeCertificate, count: int,
         if tag == "graph":
             hc = cert.param[1].coeffs_in_q("p")
             M, Nn = hc[1], -hc[0]
-            for i, t in enumerate(_scan_values(K)):
-                if i > max_iter:
-                    raise OverHeightBudget("parameter scan exhausted")
+            for t in _parameters(K, max_iter):
                 if not M(t):
                     continue
                 if push(t, Nn(t) / M(t)):
                     return out
         if tag == "line":
             p0 = cert.param[1]
-            for i, t in enumerate(_scan_values(K)):
-                if i > max_iter:
-                    raise OverHeightBudget("parameter scan exhausted")
+            for t in _parameters(K, max_iter):
                 if push(p0, t):
                     return out
         if tag == "const":
             sq, val = cert.param[1], cert.param[2]
-            for i, t in enumerate(_scan_values(K)):
-                if i > max_iter:
-                    raise OverHeightBudget("parameter scan exhausted")
+            for t in _parameters(K, max_iter):
                 if push(t, model.q_from_v(t, val * sq(t))):
                     return out
         if tag == "linear":
             sq, red = cert.param[1], cert.param[2]
             e0, e1 = red.coeff(0), red.coeff(1)
-            for i, t in enumerate(_scan_values(K)):
-                if i > max_iter:
-                    raise OverHeightBudget("parameter scan exhausted")
+            for t in _parameters(K, max_iter):
                 p = (t * t - e0) / e1
                 if push(p, model.q_from_v(p, t * sq(p))):
                     return out
         if tag == "conic":
             sq, red, p0, w0 = cert.param[1:]
             e0, e1, e2 = red.coeff(0), red.coeff(1), red.coeff(2)
-            for i, t in enumerate(_scan_values(K)):
-                if i > max_iter:
-                    raise OverHeightBudget("parameter scan exhausted")
+            for t in _parameters(K, max_iter):
                 if t * t == e2:
                     continue
                 p = (e2 * p0 + e1 - 2 * w0 * t + t * t * p0) / (t * t - e2)

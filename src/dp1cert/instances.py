@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .exactalg import Field, PrimeField, QQ
 from .dp1 import Dp1Surface, SectionCurve, WeightedPoint, is_smooth
-from .weier import order3_family, order5_family
+from .weier import order5_family
 
 
 def _surface(field: Field, f, g) -> Dp1Surface:

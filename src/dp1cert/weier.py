@@ -10,7 +10,6 @@ y^2 + (beta+1)*x*y + beta*y = x^3 + beta*x^2 (order 5).
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -214,20 +213,18 @@ def _order_by_phi(E: WeierCurve, P: CurvePoint):
 def order_class(E: WeierCurve, P: CurvePoint, bound: int = 12):
     """Smallest n <= bound with nP = O by repeated addition, or None
     (exceeds bound). On smooth curves, cross-checked against the
-    division-polynomial values; disagreement emits AnomalousOrderWarning."""
+    division-polynomial values; disagreement emits AnomalousOrderWarning.
+    On singular curves a multiple can land on the singular point, which
+    raises HitsSingularPoint."""
     if P.is_identity:
         raise ExactAlgError("order_class requires P != O")
     order = None
     acc = CurvePoint.identity()
-    try:
-        for n in range(1, bound + 1):
-            acc = add(E, acc, P)
-            if acc.is_identity:
-                order = n
-                break
-    except HitsSingularPoint:
-        # only possible on singular curves; multiples leave the smooth locus
-        raise
+    for n in range(1, bound + 1):
+        acc = add(E, acc, P)
+        if acc.is_identity:
+            order = n
+            break
     if E.kind == "smooth":
         by_phi = _order_by_phi(E, P)
         add_side = order if (order is not None and order <= 6) else None

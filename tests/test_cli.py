@@ -41,7 +41,7 @@ def test_surface_roundtrip_prime_field():
     assert S2.field == S.field and S2.g.coeffs == S.g.coeffs
 
 
-def test_parse_errors():
+def test_parse_errors(tmp_path, capsys):
     with pytest.raises(ParseError):
         parse_surface({"field": {"kind": "rationals"}, "f": ["1"], "g": []})
     with pytest.raises(ParseError):
@@ -50,6 +50,18 @@ def test_parse_errors():
                        "g": ["0"] * 6 + ["1"]})
     with pytest.raises(ParseError):
         parse_point("1,2,3", QQ)
+    # bad arguments are bad input: one error line and exit code 1, not
+    # argparse's exit code 2 (which means HypothesisFailed / NotSmooth)
+    path = write_surface(tmp_path, instances.nine_curves_instance()[0])
+    for argv in (["certify", path, "--height", "abc"],
+                 ["certify", path, "--seed", "1"],
+                 ["nodal-density", path, "--count", "1.5"],
+                 ["no-such-command"],
+                 []):
+        code, text = run(argv)
+        assert (code, text) == (1, ""), argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +149,21 @@ def test_nodal_density_no_fiber_exit_code(tmp_path):
     assert code == 2
 
 
-def test_budget_env_override(tmp_path, monkeypatch):
+def test_budget_env_override(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("DP1CERT_BIT_BUDGET", "131072")
     S, _ = instances.nodal_fixture()
-    code, _ = run(["nodal-density", write_surface(tmp_path, S),
-                   "--count", "5", "--format", "json"])
+    path = write_surface(tmp_path, S)
+    code, _ = run(["nodal-density", path, "--count", "5", "--format", "json"])
     assert code == 0
+    # a budget that is not a positive integer is bad input (exit code 1)
+    for bad in ("abc", "0", "-8", "1e6"):
+        monkeypatch.setenv("DP1CERT_BIT_BUDGET", bad)
+        for argv in (["nodal-density", path, "--count", "5"],
+                     ["certify", path, "--point", "2,2,0,1"]):
+            code, text = run(argv)
+            assert (code, text) == (1, ""), (bad, argv)
+            err = capsys.readouterr().err
+            assert err.startswith("error: DP1CERT_BIT_BUDGET"), (bad, argv)
 
 
 # ---------------------------------------------------------------------------
