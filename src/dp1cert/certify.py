@@ -26,15 +26,15 @@ from math import gcd
 from .exactalg import (
     DEFAULT_BIT_BUDGET, BinaryForm, ExactAlgError, FieldElement,
     FunctionField, OverHeightBudget, QQ, RationalField, UniPoly,
-    check_budget, pgl2_act, rational_roots, sqrt, squarefree_decomposition,
+    check_budget, pgl2_act, rational_roots, sqrt,
 )
 from .weier import (
     CurvePoint, FieldUnsupported, HitsSingularPoint, ZeroY, add,
     nodal_param, non_torsion_certificate, order_class, phi_values,
 )
 from .dp1 import (
-    Dp1Surface, InvalidPoint, IsBasePoint, WeightedPoint, is_smooth,
-    move_to_zero, parse_point,
+    Dp1Surface, InvalidPoint, IsBasePoint, WeightedPoint, fiber_to_zero,
+    is_smooth, move_to_zero, parse_point, rational_singular_fibers,
 )
 from .cq5 import (
     BothVanish, MinusOneCurve, PositiveDimensional, build, components,
@@ -265,7 +265,6 @@ def density_evidence(S: Dp1Surface, data, points, multiples: int = 8,
             continue
         E = S.fiber(R.z, R.w)
         base = CurvePoint(R.x, R.y)
-        fibers.add((R.z, R.w))
         acc = CurvePoint.identity()
         for _ in range(multiples):
             try:
@@ -283,6 +282,7 @@ def density_evidence(S: Dp1Surface, data, points, multiples: int = 8,
             if not S.contains(W):
                 raise ExactAlgError("evidence point off the surface")
             out.append(W)
+            fibers.add((R.z, R.w))
     return EvidenceReport(tuple(out), len(fibers), skipped)
 
 
@@ -460,23 +460,6 @@ def _assert_dense12_sound(cert: Certificate):
 # the nodal-fiber pipeline
 # ---------------------------------------------------------------------------
 
-def _nodal_fiber_candidates(S: Dp1Surface):
-    """PGL2 matrices moving each simple rational root of Delta with f != 0
-    there to (0:1)."""
-    K = S.field
-    dt = S.disc_form.chart_w()
-    out = []
-    for factor, m in squarefree_decomposition(dt):
-        if m != 1:
-            continue
-        for r in rational_roots(factor):
-            if S.f(r, K.one):
-                out.append(((K.one, r), (K.zero, K.one)))
-    if 12 - dt.degree() == 1 and S.f(K.one, K.zero):
-        out.append(((K.zero, K.one), (K.one, K.zero)))
-    return out
-
-
 def nodal_density(S: Dp1Surface, params: RunParams | None = None) \
         -> Certificate:
     params = params or RunParams()
@@ -486,7 +469,9 @@ def nodal_density(S: Dp1Surface, params: RunParams | None = None) \
         raise FieldUnsupported("the nodal pipeline needs QQ")
     if not is_smooth(S):
         raise NotSmooth("the surface has a singular point")
-    candidates = _nodal_fiber_candidates(S)
+    candidates = [fiber_to_zero(z, w)
+                  for z, w, kind in rational_singular_fibers(S)
+                  if kind == "I1"]
     if not candidates:
         raise NoRationalNodalFiber(
             "no simple rational root of the discriminant with f nonzero")
@@ -503,7 +488,7 @@ def nodal_density(S: Dp1Surface, params: RunParams | None = None) \
             try:
                 Q0 = nodal_param(d, s)
                 # infinite order on the nodal group: no n Q0 = O for n <= 12
-                if order_class(E0, Q0, 12) is not None:
+                if order_class(E0, Q0) is not None:
                     continue
             except (ZeroY, HitsSingularPoint):
                 continue

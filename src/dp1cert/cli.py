@@ -13,10 +13,11 @@ import os
 import sys
 
 from .exactalg import (
-    DEFAULT_BIT_BUDGET, ExactAlgError, PrimeField, QQ, rational_roots,
+    DEFAULT_BIT_BUDGET, ExactAlgError, PrimeField, QQ, parse_rational,
 )
 from .dp1 import (
     Dp1Surface, ParseError, fiber_census, is_smooth, parse_point,
+    rational_singular_fibers,
 )
 from .cq5 import build, omega_points, sigma, sigma_at_omega
 from .certify import (
@@ -38,7 +39,10 @@ def parse_surface(doc: dict) -> Dp1Surface:
         if fd["kind"] == "rationals":
             field = QQ
         elif fd["kind"] == "prime":
-            field = PrimeField(int(fd["p"]))
+            p = parse_rational(fd["p"])
+            if p.denominator != 1:
+                raise ParseError(f"p must be an integer, got {fd['p']!r}")
+            field = PrimeField(int(p))
         else:
             raise ParseError(f"unknown field kind {fd['kind']!r}")
         f, g = doc["f"], doc["g"]
@@ -46,8 +50,7 @@ def parse_surface(doc: dict) -> Dp1Surface:
             raise ParseError("need 5 f-coefficients and 7 g-coefficients")
         return Dp1Surface.from_coeff_lists(
             field,
-            [field.element_from_str(str(c)) for c in f],
-            [field.element_from_str(str(c)) for c in g])
+            [field(str(c)) for c in f], [field(str(c)) for c in g])
     except ParseError:
         raise
     except (KeyError, TypeError, ValueError, ExactAlgError) as exc:
@@ -76,7 +79,7 @@ def parse_scalar_pair(text: str, field):
     if len(parts) != 2:
         raise ParseError(f"expected two scalars, got {text!r}")
     try:
-        return tuple(field.element_from_str(s.strip()) for s in parts)
+        return tuple(field(s.strip()) for s in parts)
     except (ValueError, ExactAlgError) as exc:
         raise ParseError(f"bad scalar pair {text!r}: {exc}") from exc
 
@@ -145,17 +148,9 @@ def cmd_check(args, out):
     if smooth:
         census = fiber_census(S)
         report["census"] = {"M": census.M, "N": census.N}
-        fibers = []
-        dt = S.disc_form.chart_w()
-        fw = S.f.chart_w()
-        for root in rational_roots(dt):
-            # on a smooth surface the root is simple (node) or double (cusp)
-            kind = "I1" if fw(root) else "II"
-            fibers.append({"fiber": f"{root},1", "type": kind})
-        if dt.degree() < 12:
-            kind = "I1" if S.f.coeffs[4] else "II"
-            fibers.append({"fiber": "1,0", "type": kind})
-        report["rational_singular_fibers"] = fibers
+        report["rational_singular_fibers"] = [
+            {"fiber": f"{z},{w}", "type": kind}
+            for z, w, kind in rational_singular_fibers(S)]
     _emit(report, args.format, out)
     return 0 if smooth else 2
 

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from .exactalg import (
     BiPoly, ExactAlgError, FieldElement, PrimeField, QuotientExt,
     UniPoly, UnsupportedField, ZeroDivisor, poly_gcd, rational_roots,
-    resultant_q, sqrt, squarefree_decomposition, squarefree_part,
+    resultant_q, sqrt, square_split, squarefree_decomposition,
+    squarefree_part,
 )
 from .dp1 import Dp1Surface, SectionCurve, WeightedPoint, section_surface_form
 from .weier import CurvePoint, PhiValues, WeierCurve, mul, phi_values
@@ -195,18 +196,10 @@ def sigma(data: CQ5Data, p, q) -> WeightedPoint:
     q = q if isinstance(q, FieldElement) else K(q)
     if data.G(p, q):
         raise ExactAlgError("(p, q) is not on the section curve")
-    sec = data.section(p, q)
-    F5v = data.F5(p, q)
-    F6v = data.F6(p, q)
-    if not F5v and not F6v:
+    t = _t_at(data, p, q)
+    if t is None:
         raise MinusOneCurve("the section lies inside S")
-    if F6v:
-        t = -F5v / F6v
-        P = WeightedPoint(sec.q * t ** 2 + sec.p * t + data.x0,
-                          sec.c * t ** 3 + sec.b * t ** 2 + sec.a * t + data.y0,
-                          t, K.one)
-    else:
-        P = WeightedPoint(sec.q, sec.c, K.one, K.zero)
+    P = data.section(p, q).point_at(*t)
     if not data.surface.contains(P):
         raise ExactAlgError("sigma image off the surface")
     return P
@@ -424,22 +417,17 @@ def _is_square_in_Kp(a: UniPoly):
     """Square root of a in K[p] when one exists, else None."""
     if a.is_zero():
         return UniPoly(a.field, [], a.var)
-    lc = a.lead()
-    r = None
     try:
-        r = sqrt(lc)
+        r = sqrt(a.lead())
     except UnsupportedField:
         return None
     if r is None:
         return None
-    root = UniPoly(a.field, [r], a.var)
-    for factor, mult in squarefree_decomposition(a):
-        if mult % 2:
-            return None
-        root = root * factor ** (mult // 2)
-    if not (root * root == a):
+    sq, red = square_split(a)
+    if red.degree() > 0:
         return None
-    return root
+    root = sq * r
+    return root if root * root == a else None
 
 
 def components(data: CQ5Data) -> list:
@@ -524,7 +512,10 @@ class ImageClass:
     t: tuple = None            # (a, b) meaning (a : b) in P^1
 
 
-def _points_on_component(data: CQ5Data, comp: ComponentDesc, limit: int = 24):
+_SAMPLES = 24      # points _points_on_component returns at most
+
+
+def _points_on_component(data: CQ5Data, comp: ComponentDesc):
     """Sample points (p, q) on the component, over the base field when
     possible, else over a quadratic extension."""
     K = data.field
@@ -543,12 +534,12 @@ def _points_on_component(data: CQ5Data, comp: ComponentDesc, limit: int = 24):
             for r in roots:
                 for qv in candidates:
                     found.append((r, qv))
-                    if len(found) >= limit:
+                    if len(found) >= _SAMPLES:
                         return found
             return found
         ext = QuotientExt(m.monic())
         gen = ext.generator()
-        for qv in candidates[:limit]:
+        for qv in candidates[:_SAMPLES]:
             found.append((gen, ext(qv)))
         return found
     if comp.shape == "graph":
@@ -556,7 +547,7 @@ def _points_on_component(data: CQ5Data, comp: ComponentDesc, limit: int = 24):
         for pv in candidates:
             if M(pv):
                 found.append((pv, N(pv) / M(pv)))
-                if len(found) >= limit:
+                if len(found) >= _SAMPLES:
                     break
         return found
     # quadratic cover: solve the q-quadratic at sampled p
@@ -573,7 +564,7 @@ def _points_on_component(data: CQ5Data, comp: ComponentDesc, limit: int = 24):
             continue
         for sgn in (1, -1):
             found.append((pv, (-Lv + sgn * r) / (2 * c1)))
-        if len(found) >= limit:
+        if len(found) >= _SAMPLES:
             break
     if not found and candidates:
         pv = candidates[1] if len(candidates) > 1 else candidates[0]
@@ -587,6 +578,8 @@ def _points_on_component(data: CQ5Data, comp: ComponentDesc, limit: int = 24):
 
 
 def _t_at(data: CQ5Data, p, q):
+    """The fiber (z, w) = (-F5/F6, 1) or (1, 0) of sigma's image at (p, q);
+    None when F5 = F6 = 0 there."""
     F5v = data.F5(p, q)
     F6v = data.F6(p, q)
     if not F5v and not F6v:

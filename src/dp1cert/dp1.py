@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .exactalg import (
     BinaryForm, ExactAlgError, Field, FieldElement, UniPoly, pgl2_act,
-    poly_gcd, squarefree_decomposition,
+    poly_gcd, rational_roots, squarefree_decomposition, squarefree_part,
 )
 from .weier import WeierCurve
 
@@ -102,8 +102,7 @@ def parse_point(text: str, field) -> WeightedPoint:
     if len(parts) != 4:
         raise ParseError(f"a point needs four coordinates, got {text!r}")
     try:
-        return WeightedPoint(*[field.element_from_str(s.strip())
-                               for s in parts])
+        return WeightedPoint(*[field(s.strip()) for s in parts])
     except (ValueError, ExactAlgError) as exc:
         raise ParseError(f"bad point {text!r}: {exc}") from exc
 
@@ -157,17 +156,6 @@ class Dp1Surface:
 # smoothness
 # ---------------------------------------------------------------------------
 
-def _squarefree(a: UniPoly) -> UniPoly:
-    """Monic product of the distinct irreducible factors; InseparableCase
-    propagates from the characteristic-p decomposition."""
-    if a.degree() < 1:
-        return a.monic()
-    out = UniPoly(a.field, [1], a.var)
-    for factor, _ in squarefree_decomposition(a):
-        out = out * factor
-    return out
-
-
 def _chart_smooth(f: UniPoly, g: UniPoly, disc: UniPoly) -> bool:
     """Jacobian criterion on one affine chart. A singular point forces y = 0,
     3x^2 + f = 0, x^3 + fx + g = 0 and f'x + g' = 0; its t-coordinate is a
@@ -176,9 +164,9 @@ def _chart_smooth(f: UniPoly, g: UniPoly, disc: UniPoly) -> bool:
     h = poly_gcd(disc, 2 * f * g.derivative() - 3 * f.derivative() * g)
     if h.degree() == 0:
         return True
-    hs = _squarefree(h)
+    hs = squarefree_part(h)
     fg = poly_gcd(f, g)
-    if fg.is_zero() or not (_squarefree(fg) % hs).is_zero():
+    if fg.is_zero() or not (squarefree_part(fg) % hs).is_zero():
         return False
     return poly_gcd(h, g.derivative()).degree() == 0
 
@@ -226,9 +214,31 @@ def fiber_census(S: Dp1Surface) -> FiberCensus:
     return FiberCensus(M, N, pattern)
 
 
+def rational_singular_fibers(S: Dp1Surface) -> list:
+    """(z, w, type) for each singular fiber over a rational point (z:w) of
+    the base, roots of Delta(t, 1) first: type "I1" (nodal) where f != 0,
+    else "II" (cuspidal). On a smooth surface these are the simple and the
+    double roots of Delta."""
+    K = S.field
+    dt = S.disc_form.chart_w()
+    fibers = [(root, K.one) for root in rational_roots(dt)]
+    if dt.degree() < 12:
+        fibers.append((K.one, K.zero))
+    return [(z, w, "I1" if S.f(z, w) else "II") for z, w in fibers]
+
+
 # ---------------------------------------------------------------------------
 # normalization
 # ---------------------------------------------------------------------------
+
+def fiber_to_zero(z: FieldElement, w: FieldElement) -> tuple:
+    """The PGL2 matrix M with column 1 = (z, w): under pgl2_act(M, .) the
+    new fiber (0:1) is the old fiber (z:w)."""
+    K = z.field
+    if w:
+        return ((K.one, z), (K.zero, w))
+    return ((K.zero, z), (K.one, w))
+
 
 @dataclass(frozen=True)
 class Normalized:
@@ -244,17 +254,11 @@ def move_to_zero(S: Dp1Surface, Q: WeightedPoint) -> Normalized:
         raise IsBasePoint("the base point lies over every fiber direction")
     if not S.contains(Q):
         raise InvalidPoint(f"{Q} is not on the surface")
-    field = S.field
-    z0, w0 = Q.z, Q.w
-    # column 1 = (z0, w0): the new (0:1) maps to the old (z0:w0)
-    if w0:
-        M = ((field.one, z0), (field.zero, w0))
-    else:
-        M = ((field.zero, z0), (field.one, w0))
+    M = fiber_to_zero(Q.z, Q.w)
     S2 = Dp1Surface(pgl2_act(M, S.f), pgl2_act(M, S.g))
-    # the new (0:1) maps to exactly (z0, w0), the canonical representative,
-    # so (x, y) carry over unchanged
-    Q2 = WeightedPoint(Q.x, Q.y, field.zero, field.one)
+    # the new (0:1) maps to exactly (Q.z, Q.w), the canonical
+    # representative, so (x, y) carry over unchanged
+    Q2 = WeightedPoint(Q.x, Q.y, S.field.zero, S.field.one)
     if not S2.contains(Q2):
         raise ExactAlgError("normalization failed to preserve membership")
     return Normalized(S2, Q2, M)

@@ -149,6 +149,19 @@ def divisors(n: int) -> list:
     return sorted(ds)
 
 
+def _power(base, n: int, one):
+    """base ** n for n >= 0 by square-and-multiply; one is the unit of
+    base's ring."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
+
+
 def _sqrt_mod_p(a: int, p: int):
     """Tonelli-Shanks; returns r with r*r = a mod p, or None."""
     a %= p
@@ -240,14 +253,7 @@ class FieldElement:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, self.field.one)
 
     def __bool__(self):
         return not self.field._is_zero(self.rep)
@@ -284,9 +290,6 @@ class Field:
     @property
     def one(self):
         return self(1)
-
-    def element_from_str(self, text: str) -> FieldElement:
-        return self(parse_rational(text))
 
     def _bit_size(self, rep) -> int:
         return 0
@@ -669,14 +672,7 @@ class UniPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        out = UniPoly(self.field, [1], self.var)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, UniPoly(self.field, [1], self.var))
 
     def __divmod__(self, other):
         o = self._same(other)
@@ -784,17 +780,16 @@ def _ext_gcd(a: UniPoly, b: UniPoly):
     return r0, s0, t0
 
 
+def _primitive(ints: list) -> list:
+    """Integer coefficients divided by their content."""
+    g = math.gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
+
+
 def _qq_poly_to_int_list(a: UniPoly):
-    den = 1
-    for c in a.coeffs:
-        den = den * c.rep.denominator // math.gcd(den, c.rep.denominator)
-    ints = [c.rep.numerator * (den // c.rep.denominator) for c in a.coeffs]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+    den = math.lcm(*(c.rep.denominator for c in a.coeffs))
+    return _primitive([c.rep.numerator * (den // c.rep.denominator)
+                       for c in a.coeffs])
 
 
 def _int_prem(a: list, b: list) -> list:
@@ -813,12 +808,7 @@ def _int_prem(a: list, b: list) -> list:
             a[k + j] -= la * b[j]
         while a and a[-1] == 0:
             a.pop()
-    g = 0
-    for v in a:
-        g = math.gcd(g, v)
-    if g > 1:
-        a = [v // g for v in a]
-    return a
+    return _primitive(a)
 
 
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
@@ -846,9 +836,12 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
 
 
 def squarefree_part(a: UniPoly) -> UniPoly:
+    """Monic product of the distinct irreducible factors; InseparableCase
+    propagates from the characteristic-p decomposition."""
     if a.degree() < 1:
         return a.monic()
-    return a.exact_div(poly_gcd(a, a.derivative())).monic()
+    return math.prod((factor for factor, _ in squarefree_decomposition(a)),
+                     start=UniPoly(a.field, [1], a.var))
 
 
 def squarefree_decomposition(a: UniPoly):
@@ -896,6 +889,18 @@ def squarefree_decomposition(a: UniPoly):
     if g.degree() > 0:
         raise InseparableCase(f"p-th power part {g}")
     return out
+
+
+def square_split(a: UniPoly):
+    """(sq, red) with a = sq^2 * red, sq monic and red = lc(a) times a
+    squarefree monic polynomial."""
+    sq = UniPoly(a.field, [1], a.var)
+    red = UniPoly(a.field, [a.lead()], a.var)
+    for factor, m in squarefree_decomposition(a):
+        sq = sq * factor ** (m // 2)
+        if m % 2:
+            red = red * factor
+    return sq, red
 
 
 def rational_roots(a: UniPoly) -> list:
@@ -955,38 +960,26 @@ class BinaryForm:
     def __add__(self, other):
         if other.d != self.d or other.field != self.field:
             raise ExactAlgError("form mismatch")
-        return BinaryForm(self.field, self.d,
-                          [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return BinaryForm.from_unipoly(self.chart_w() + other.chart_w(),
+                                       self.d)
 
     def __neg__(self):
-        return BinaryForm(self.field, self.d, [-c for c in self.coeffs])
+        return BinaryForm.from_unipoly(-self.chart_w(), self.d)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, BinaryForm):
-            out = [self.field.zero] * (self.d + other.d + 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-            return BinaryForm(self.field, self.d + other.d, out)
+            return BinaryForm.from_unipoly(self.chart_w() * other.chart_w(),
+                                           self.d + other.d)
         k = other if isinstance(other, FieldElement) else self.field(other)
         return BinaryForm(self.field, self.d, [c * k for c in self.coeffs])
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        out = BinaryForm(self.field, 0, [1])
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, BinaryForm(self.field, 0, [1]))
 
     def __call__(self, z0, w0) -> FieldElement:
         z0 = z0 if isinstance(z0, FieldElement) else self.field(z0)
@@ -1130,14 +1123,7 @@ class BiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        out = BiPoly.const(self.field.one)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, BiPoly.const(self.field.one))
 
     def __call__(self, pv, qv) -> FieldElement:
         pv = pv if isinstance(pv, FieldElement) else self.field(pv)

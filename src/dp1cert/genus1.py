@@ -16,7 +16,7 @@ from math import gcd
 from .exactalg import (
     DEFAULT_BIT_BUDGET, ExactAlgError, FieldElement, OverHeightBudget,
     RationalField, UniPoly, UnsupportedField, check_budget, sqrt,
-    squarefree_decomposition, squarefree_part,
+    square_split, squarefree_part,
 )
 from .weier import (
     CurvePoint, FieldUnsupported, WeierCurve, mul, non_torsion_certificate,
@@ -334,23 +334,11 @@ class InfinitudeCertificate:
     base: QuarticPoint = None
 
 
-def _strip_squares(D: UniPoly):
-    """D = lc * sq^2 * red with red squarefree; returns (sq, red)."""
-    K = D.field
-    sq = UniPoly(K, [1], D.var)
-    red = UniPoly(K, [D.lead()], D.var)
-    for factor, m in squarefree_decomposition(D):
-        sq = sq * factor ** (m // 2)
-        if m % 2:
-            red = red * factor
-    return sq, red
-
-
 def _rational_quartic_certificate(model: QuarticModel, height: int):
     """Certificates for non-squarefree or low-degree D: the quartic is a
     rational curve once it has a rational point."""
     K = model.field
-    sq, red = _strip_squares(model.D)
+    sq, red = square_split(model.D)
     if red.degree() <= 0:
         r = sqrt(red.coeff(0)) if not red.is_zero() else K.zero
         if red.is_zero() or r is not None:

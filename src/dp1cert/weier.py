@@ -99,11 +99,11 @@ class CurvePoint:
             self.is_identity = True
             self.x = self.y = None
         else:
+            if not isinstance(x, FieldElement):
+                raise ExactAlgError("coordinates must be FieldElements")
             self.is_identity = False
             self.x = x
             self.y = y if isinstance(y, FieldElement) else x.field(y)
-            if not isinstance(x, FieldElement):
-                raise ExactAlgError("coordinates must be FieldElements")
 
     @classmethod
     def identity(cls):
@@ -210,9 +210,9 @@ def _order_by_phi(E: WeierCurve, P: CurvePoint):
     return None
 
 
-def order_class(E: WeierCurve, P: CurvePoint, bound: int = 12):
-    """Smallest n <= bound with nP = O by repeated addition, or None
-    (exceeds bound). On smooth curves, cross-checked against the
+def order_class(E: WeierCurve, P: CurvePoint):
+    """Smallest n <= 12 with nP = O by repeated addition, or None
+    (exceeds 12, the Mazur bound over QQ). On smooth curves, cross-checked against the
     division-polynomial values; disagreement emits AnomalousOrderWarning.
     On singular curves a multiple can land on the singular point, which
     raises HitsSingularPoint."""
@@ -220,7 +220,7 @@ def order_class(E: WeierCurve, P: CurvePoint, bound: int = 12):
         raise ExactAlgError("order_class requires P != O")
     order = None
     acc = CurvePoint.identity()
-    for n in range(1, bound + 1):
+    for n in range(1, 13):
         acc = add(E, acc, P)
         if acc.is_identity:
             order = n
@@ -248,12 +248,10 @@ class TorsionVerdict:
 
 def _integral_scale(A: Fraction, B: Fraction) -> int:
     """Least u > 0 with A*u^4 and B*u^6 integral."""
+    fa, fb = factorint(A.denominator), factorint(B.denominator)
     u = 1
-    primes = set(factorint(A.denominator)) | set(factorint(B.denominator))
-    for l in primes:
-        a = factorint(A.denominator).get(l, 0)
-        b = factorint(B.denominator).get(l, 0)
-        u *= l ** max(-(-a // 4), -(-b // 6))
+    for l in set(fa) | set(fb):
+        u *= l ** max(-(-fa.get(l, 0) // 4), -(-fb.get(l, 0) // 6))
     return u
 
 
@@ -337,7 +335,7 @@ def tate_normal_form(E: WeierCurve, P: CurvePoint, n: int) -> TateForm:
     order-n family; n in {3, 5}."""
     if n not in (3, 5):
         raise WrongOrder(f"n must be 3 or 5, got {n}")
-    if P.is_identity or order_class(E, P, 12) != n:
+    if P.is_identity or order_class(E, P) != n:
         raise WrongOrder(f"point does not have order {n}")
     field = E.field
     a1, a2, a3 = _tate_coefficients(E, P)

@@ -154,6 +154,14 @@ def test_density_evidence_counts():
         assert S.contains(P)
 
 
+def test_distinct_fibers_count_only_fibers_with_evidence():
+    # at a small bit budget most sigma-images keep no multiple; their
+    # fibers must not be counted
+    cert = check_conditions(*instances.nodal_fixture(), RunParams(budget=1500))
+    assert cert.conclusion == "DenseByTheorem12"
+    assert cert.distinct_fibers == len({(P.z, P.w) for P in cert.evidence})
+
+
 def test_density_evidence_empty():
     S, Q = instances.nodal_fixture()
     data = build(S, Q)

@@ -53,7 +53,13 @@ def test_parse_errors(tmp_path, capsys):
     # bad arguments are bad input: one error line and exit code 1, not
     # argparse's exit code 2 (which means HypothesisFailed / NotSmooth)
     path = write_surface(tmp_path, instances.nine_curves_instance()[0])
+    # a non-integral field size is bad input, not truncated to GF(11)
+    float_p = tmp_path / "float_p.json"
+    float_p.write_text(json.dumps({"field": {"kind": "prime", "p": 11.9},
+                                   "f": ["1", "0", "0", "0", "0"],
+                                   "g": ["0"] * 6 + ["1"]}))
     for argv in (["certify", path, "--height", "abc"],
+                 ["check", str(float_p)],
                  ["certify", path, "--seed", "1"],
                  ["nodal-density", path, "--count", "1.5"],
                  ["no-such-command"],

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from dp1cert.exactalg import QQ, PrimeField
+from dp1cert.exactalg import QQ, ExactAlgError, PrimeField
 from dp1cert.weier import (
     AnomalousOrderWarning, CurvePoint, FieldUnsupported, HitsSingularPoint,
     PhiValues, TateForm, WeierCurve, WrongOrder, ZeroY, add, mul,
@@ -28,6 +28,11 @@ def test_curve_kinds():
     assert EN.kind == "nodal" and EN.x_sing == QQ(1)
     EC = WeierCurve(QQ(0), QQ(0))
     assert EC.kind == "cuspidal" and EC.x_sing == QQ(0)
+
+
+def test_curve_point_needs_field_elements():
+    with pytest.raises(ExactAlgError):
+        CurvePoint(1, 2)
 
 
 def test_add_examples():
