@@ -33,8 +33,8 @@ from .weier import (
     nodal_param, non_torsion_certificate, order_class, phi_values,
 )
 from .dp1 import (
-    Dp1Surface, InvalidPoint, IsBasePoint, WeightedPoint, fiber_to_zero,
-    is_smooth, move_to_zero, parse_point, rational_singular_fibers,
+    Dp1Surface, InvalidPoint, WeightedPoint, fiber_to_zero, is_smooth,
+    move_to_zero, parse_point, rational_singular_fibers,
 )
 from .cq5 import (
     BothVanish, MinusOneCurve, PositiveDimensional, build, components,

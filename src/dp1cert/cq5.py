@@ -18,10 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactalg import (
-    BiPoly, ExactAlgError, FieldElement, PrimeField, QuotientExt,
-    UniPoly, UnsupportedField, ZeroDivisor, poly_gcd, rational_roots,
-    resultant_q, sqrt, square_split, squarefree_decomposition,
-    squarefree_part,
+    BiPoly, ExactAlgError, FieldElement, QuotientExt, UniPoly,
+    UnsupportedField, ZeroDivisor, poly_gcd, rational_roots, resultant_q,
+    sqrt, square_split, squarefree_decomposition, squarefree_part,
 )
 from .dp1 import Dp1Surface, SectionCurve, WeightedPoint, section_surface_form
 from .weier import CurvePoint, PhiValues, WeierCurve, mul, phi_values
@@ -516,15 +515,12 @@ _SAMPLES = 24      # points _points_on_component returns at most
 
 
 def _points_on_component(data: CQ5Data, comp: ComponentDesc):
-    """Sample points (p, q) on the component, over the base field when
-    possible, else over a quadratic extension."""
+    """Sample points (p, q) on the component at p or q in 0, +-1, ..., +-7,
+    over the base field when possible, else over a quadratic extension."""
     K = data.field
     H = comp.H
-    if isinstance(K, PrimeField):
-        candidates = [K(v) for v in range(K.p)]
-    else:
-        candidates = [K(v) for v in
-                      [0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6, 7, -7]]
+    candidates = [K(v) for v in
+                  [0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6, 7, -7]]
     found = []
     hc = H.coeffs_in_q("p")
     if comp.shape == "vertical_line":
@@ -539,17 +535,12 @@ def _points_on_component(data: CQ5Data, comp: ComponentDesc):
             return found
         ext = QuotientExt(m.monic())
         gen = ext.generator()
-        for qv in candidates[:_SAMPLES]:
+        for qv in candidates:
             found.append((gen, ext(qv)))
         return found
     if comp.shape == "graph":
         M, N = hc[1], -hc[0]
-        for pv in candidates:
-            if M(pv):
-                found.append((pv, N(pv) / M(pv)))
-                if len(found) >= _SAMPLES:
-                    break
-        return found
+        return [(pv, N(pv) / M(pv)) for pv in candidates if M(pv)]
     # quadratic cover: solve the q-quadratic at sampled p
     c1 = hc[2].coeff(0)
     for pv in candidates:
@@ -566,8 +557,8 @@ def _points_on_component(data: CQ5Data, comp: ComponentDesc):
             found.append((pv, (-Lv + sgn * r) / (2 * c1)))
         if len(found) >= _SAMPLES:
             break
-    if not found and candidates:
-        pv = candidates[1] if len(candidates) > 1 else candidates[0]
+    if not found:
+        pv = candidates[1]
         Lv = hc[1](pv)
         Cv = hc[0](pv)
         m = UniPoly(K, [Cv, Lv, c1], "s").monic()

@@ -92,102 +92,21 @@ def _is_probable_prime(n: int) -> bool:
     return True
 
 
-def _pollard_rho(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    rng = random.Random(0xD1CE)
-    while True:
-        c = rng.randrange(1, n)
-        x = y = rng.randrange(2, n)
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
-
-
-def factorint(n: int) -> dict:
-    """Prime factorization of |n| as {prime: exponent}; factorint(0) is an error."""
-    if n == 0:
-        raise ValueError("factorint(0)")
-    n = abs(n)
-    out: dict = {}
-    for p in (2, 3, 5):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    f = 7
-    while f * f <= n and f < 100000:
-        while n % f == 0:
-            out[f] = out.get(f, 0) + 1
-            n //= f
-        f += 2
-    if n == 1:
-        return out
-    stack = [n]
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if _is_probable_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m)
-        stack.append(d)
-        stack.append(m // d)
-    return out
-
-
-def divisors(n: int) -> list:
-    """All positive divisors of |n|."""
-    ds = [1]
-    for p, e in factorint(n).items():
-        ds = [d * p ** k for d in ds for k in range(e + 1)]
-    return sorted(ds)
-
-
-def _power(base, n: int, one):
+def _power(base, n: int, one, modulus=None):
     """base ** n for n >= 0 by square-and-multiply; one is the unit of
-    base's ring."""
+    base's ring. A modulus reduces every product (powers in K[t]/(modulus))."""
     out = one
     while n:
         if n & 1:
             out = out * base
+            if modulus is not None:
+                out = out % modulus
         n >>= 1
         if n:
             base = base * base
+            if modulus is not None:
+                base = base % modulus
     return out
-
-
-def _sqrt_mod_p(a: int, p: int):
-    """Tonelli-Shanks; returns r with r*r = a mod p, or None."""
-    a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, tt = 0, t
-        while tt != 1:
-            tt = tt * tt % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
 
 
 # ---------------------------------------------------------------------------
@@ -588,10 +507,8 @@ def sqrt(a: FieldElement):
             return f(Fraction(rn, rd))
         return None
     if isinstance(f, PrimeField):
-        r = _sqrt_mod_p(a.rep, f.p)
-        if r is None:
-            return None
-        return f(min(r, (-r) % f.p))
+        roots = rational_roots(UniPoly(f, [-a, 0, 1]))
+        return roots[0] if roots else None
     raise UnsupportedField(f"sqrt over {f}")
 
 
@@ -903,38 +820,72 @@ def square_split(a: UniPoly):
     return sq, red
 
 
+def _roots_mod_p(a: UniPoly) -> list:
+    """Distinct roots of a over GF(p), unordered: the linear part
+    gcd(a, t^p - t), split by Cantor-Zassenhaus equal-degree splitting with
+    a fixed seed (von zur Gathen-Gerhard, Modern Computer Algebra, 14.3)."""
+    field = a.field
+    if a.degree() < 1:
+        return []
+    t = UniPoly(field, [0, 1], a.var)
+    one = UniPoly(field, [1], a.var)
+    stack = [poly_gcd(a, _power(t, field.p, one, a) - t)]
+    rng = random.Random(0xD1CE)
+    roots = []
+    while stack:
+        h = stack.pop()
+        if h.degree() == 1:
+            roots.append(-h.coeff(0))
+        elif h.degree() > 1:
+            w = _power(t + rng.randrange(field.p), (field.p - 1) // 2, one, h)
+            g = poly_gcd(h, w - one)
+            stack += [g, h // g] if 0 < g.degree() < h.degree() else [h]
+    return roots
+
+
 def rational_roots(a: UniPoly) -> list:
-    """All roots of a in the coefficient field: rational-root criterion on the
-    primitive integral model over QQ, exhaustive scan over GF(p)."""
+    """All roots of a in its coefficient field, each once. GF(p): ascending.
+    QQ: the roots mod the first prime p >= 7 that keeps the primitive
+    squarefree part f squarefree of the same degree, Newton-lifted past
+    2(|lc| + max|a_i|) >= 2|lc * r| and confirmed exactly; sorted by
+    (denominator, value). No integer is factored."""
     if a.is_zero():
         raise ExactAlgError("rational_roots of zero polynomial")
     field = a.field
     if isinstance(field, PrimeField):
-        return [field(v) for v in range(field.p) if not a(field(v))]
+        return sorted(_roots_mod_p(a), key=lambda r: r.rep)
     if not isinstance(field, RationalField):
         raise UnsupportedField(f"rational_roots over {field}")
+    ints = _qq_poly_to_int_list(squarefree_part(a))
+    if len(ints) < 2:
+        return []
+    lc, bound = ints[-1], 2 * (abs(ints[-1]) + max(map(abs, ints)))
+    dints = [i * c for i, c in enumerate(ints)][1:]
+    p = 7
+    while True:
+        if lc % p and _is_probable_prime(p):
+            fp = UniPoly(PrimeField(p), ints, a.var)
+            if poly_gcd(fp, fp.derivative()).degree() == 0:
+                break
+        p += 2
+
+    def at(cs, x, m):
+        acc = 0
+        for c in reversed(cs):
+            acc = (acc * x + c) % m
+        return acc
+
     roots = []
-    ints = _qq_poly_to_int_list(a)
-    k = 0
-    while ints and ints[0] == 0:
-        ints = ints[1:]
-        k += 1
-    if k:
-        roots.append(field(0))
-    if len(ints) <= 1:
-        return roots
-    a0, ad = abs(ints[0]), abs(ints[-1])
-    for num in divisors(a0):
-        for den in divisors(ad):
-            if math.gcd(num, den) != 1:
-                continue
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                acc = Fraction(0)
-                for c in reversed(ints):
-                    acc = acc * cand + c
-                if acc == 0:
-                    roots.append(field(cand))
-    return sorted(set(roots), key=lambda r: (r.rep.denominator, r.rep))
+    for r0 in _roots_mod_p(fp):
+        r, m = r0.rep, p
+        while m <= bound:
+            m *= m
+            r = (r - at(ints, r, m) * pow(at(dints, r, m), -1, m)) % m
+        u = lc * r % m
+        cand = field(Fraction(u - m if 2 * u > m else u, lc))
+        if not a(cand):
+            roots.append(cand)
+    return sorted(roots, key=lambda r: (r.rep.denominator, r.rep))
 
 
 # ---------------------------------------------------------------------------
@@ -1034,10 +985,14 @@ def pgl2_act(M, form: BinaryForm) -> BinaryForm:
         raise SingularMatrix(str(M))
     znew = BinaryForm(field, 1, [m[0][1], m[0][0]])  # M00 z + M01 w
     wnew = BinaryForm(field, 1, [m[1][1], m[1][0]])
+    zpow, wpow = [BinaryForm(field, 0, [1])], [BinaryForm(field, 0, [1])]
+    for _ in range(form.d):
+        zpow.append(zpow[-1] * znew)
+        wpow.append(wpow[-1] * wnew)
     out = BinaryForm(field, form.d, [0] * (form.d + 1))
     for i, c in enumerate(form.coeffs):
         if c:
-            out = out + c * (znew ** i) * (wnew ** (form.d - i))
+            out = out + c * zpow[i] * wpow[form.d - i]
     return out
 
 
@@ -1128,9 +1083,12 @@ class BiPoly:
     def __call__(self, pv, qv) -> FieldElement:
         pv = pv if isinstance(pv, FieldElement) else self.field(pv)
         qv = qv if isinstance(qv, FieldElement) else self.field(qv)
-        acc = self.field.zero
-        ppow, qpow = {0: self.field.one}, {0: self.field.one}
+        K = pv.field   # the point may lie in an extension of self.field
+        lift = None if K == self.field else K
+        acc = K.zero
+        ppow, qpow = {0: K.one}, {0: K.one}
         for (i, j), c in self.terms.items():
+            c = lift(c) if lift else c
             while i not in ppow:
                 m = max(ppow)
                 ppow[m + 1] = ppow[m] * pv

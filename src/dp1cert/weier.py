@@ -10,13 +10,11 @@ y^2 + (beta+1)*x*y + beta*y = x^3 + beta*x^2 (order 5).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .exactalg import (
-    QQ, ExactAlgError, FieldElement, RationalField, factorint,
-)
+from .exactalg import QQ, ExactAlgError, FieldElement, RationalField
 
 
 class HitsSingularPoint(ExactAlgError):
@@ -246,15 +244,6 @@ class TorsionVerdict:
     reason: str
 
 
-def _integral_scale(A: Fraction, B: Fraction) -> int:
-    """Least u > 0 with A*u^4 and B*u^6 integral."""
-    fa, fb = factorint(A.denominator), factorint(B.denominator)
-    u = 1
-    for l in set(fa) | set(fb):
-        u *= l ** max(-(-fa.get(l, 0) // 4), -(-fb.get(l, 0) // 6))
-    return u
-
-
 def non_torsion_certificate(E: WeierCurve, P: CurvePoint) -> TorsionVerdict:
     """Nagell-Lutz on an integral model plus the Mazur order bound."""
     if not isinstance(E.field, RationalField):
@@ -263,7 +252,9 @@ def non_torsion_certificate(E: WeierCurve, P: CurvePoint) -> TorsionVerdict:
         raise ExactAlgError("non_torsion_certificate needs a smooth curve")
     if P.is_identity:
         return TorsionVerdict(True, 1, "identity")
-    u = _integral_scale(E.A.rep, E.B.rep)
+    # A*u^4 and B*u^6 are integral; Nagell-Lutz holds on any integral
+    # model, so u need not be the least such scale
+    u = math.lcm(E.A.rep.denominator, E.B.rep.denominator)
     Ai = E.A.rep * u ** 4
     Bi = E.B.rep * u ** 6
     D = abs(4 * Ai ** 3 + 27 * Bi ** 2)  # y^2 | D for integral torsion (strong form)

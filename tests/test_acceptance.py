@@ -11,7 +11,7 @@ import pytest
 
 from dp1cert.exactalg import QQ, ExactAlgError, PrimeField, sqrt
 from dp1cert.dp1 import (
-    Dp1Surface, WeightedPoint, fiber_census, is_smooth,
+    Dp1Surface, IsBasePoint, WeightedPoint, fiber_census, is_smooth,
 )
 from dp1cert.weier import (
     CurvePoint, WeierCurve, add, mul, _order_by_phi,
@@ -21,10 +21,9 @@ from dp1cert.cq5 import (
     section_f_coefficients, sigma_at_omega,
 )
 from dp1cert.certify import (
-    IsBasePoint, KodairaType, NoRationalNodalFiber, NotOnSurface, NotSmooth,
-    RunParams, Unsupported, base_change_fiber_type, check_conditions,
-    example_registry, nodal_density, search_surface_points,
-    verify_nodal_model,
+    KodairaType, NoRationalNodalFiber, NotOnSurface, NotSmooth, RunParams,
+    Unsupported, base_change_fiber_type, check_conditions, example_registry,
+    nodal_density, search_surface_points, verify_nodal_model,
 )
 
 from test_cq5 import build_random, random_normalized_pair

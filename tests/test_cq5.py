@@ -5,16 +5,19 @@ import pytest
 
 from dp1cert.exactalg import QQ, BiPoly, PrimeField, UniPoly
 from dp1cert.dp1 import (
-    Dp1Surface, SectionCurve, WeightedPoint, is_smooth, move_to_zero,
-    section_surface_form,
+    Dp1Surface, SectionCurve, WeightedPoint, involution, is_smooth,
+    move_to_zero, section_surface_form,
 )
-from dp1cert.weier import CurvePoint, WeierCurve, mul, order_class
+from dp1cert.weier import (
+    CurvePoint, WeierCurve, mul, order5_family, order_class,
+)
 from dp1cert import instances
 from dp1cert.cq5 import (
-    BothVanish, CQ5Data, MinusOneCurve, OmegaPoint, TwoTorsionPoint, build,
-    components, f_formulas, minus_one_rational_points, minus_one_scheme,
-    nodal_alpha_values, nodal_limit_image, omega_points,
-    section_f_coefficients, sigma, sigma_at_omega, vertical_test,
+    BothVanish, CQ5Data, ImageClass, MinusOneCurve, OmegaPoint,
+    TwoTorsionPoint, build, components, f_formulas,
+    minus_one_rational_points, minus_one_scheme, nodal_alpha_values,
+    nodal_limit_image, omega_points, section_f_coefficients, sigma,
+    sigma_at_omega, vertical_test,
 )
 
 
@@ -255,6 +258,26 @@ def test_order5_instance_section_and_f6():
         v = vertical_test(data, c)
         assert v.kind == "vertical" and v.t == (K.one, K.zero)
     assert minus_one_scheme(data).distinct_count >= 10
+
+
+def test_vertical_image_after_involution():
+    """The involution swaps the fibers (1:0) and (1:1), so every component
+    that sigma contracts to (1:0) on S is contracted to (1:1) on its image.
+    Over QQ the component's sample points lie in a quadratic extension."""
+    x0, y0, f0, g0 = order5_family(QQ, QQ(2), 1)
+    S = Dp1Surface.from_coeff_lists(QQ, [f0, 0, 0, 0, 0],
+                                    [g0, 0, 0, 0, 0, 1, 0])
+    Q = WeightedPoint(x0, y0, QQ.zero, QQ.one)
+    S11, Q11, _ = instances.order5_section_instance()
+    for surface, point in ((S, Q), (S11, Q11)):
+        K = surface.field
+        for image, t in ((surface, (K.one, K.zero)),
+                         (involution(surface), (K.one, K.one))):
+            data = build(image, point)
+            comps = components(data)
+            assert comps
+            for c in comps:
+                assert vertical_test(data, c) == ImageClass("vertical", t)
 
 
 # ---------------------------------------------------------------------------

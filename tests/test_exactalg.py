@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 from dp1cert.exactalg import (
     QQ, BinaryForm, BiPoly, DivisionByZero, FunctionField, InseparableCase,
     PrimeField, QuotientExt, SingularMatrix, UniPoly, UnsupportedField,
-    ZeroDivisor, divisors, factorint, parse_rational, pgl2_act, poly_gcd,
-    rational_roots, resultant_q, sqrt, squarefree_decomposition,
-    squarefree_part,
+    ZeroDivisor, parse_rational, pgl2_act, poly_gcd, rational_roots,
+    resultant_q, sqrt, squarefree_decomposition, squarefree_part,
 )
 
 GF11 = PrimeField(11)
@@ -125,18 +124,6 @@ def test_parse_rational():
 
 
 # --------------------------------------------------------------------------
-# integer helpers
-# --------------------------------------------------------------------------
-
-def test_factorint_and_divisors():
-    assert factorint(360) == {2: 3, 3: 2, 5: 1}
-    n = 10**9 + 7
-    assert factorint(n) == {n: 1}
-    assert factorint((10**9 + 7) * (10**9 + 9)) == {10**9 + 7: 1, 10**9 + 9: 1}
-    assert divisors(12) == [1, 2, 3, 4, 6, 12]
-
-
-# --------------------------------------------------------------------------
 # polynomials
 # --------------------------------------------------------------------------
 
@@ -231,7 +218,6 @@ def test_rational_roots():
 
 
 def test_rational_roots_large_coeffs():
-    # primitive model with a big prime factor exercises pollard rho
     big = 10**9 + 7
     a = P([-big, 1]) * P([1, big])
     roots = rational_roots(a)
