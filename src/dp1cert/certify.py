@@ -26,11 +26,11 @@ from math import gcd
 from .exactalg import (
     DEFAULT_BIT_BUDGET, BinaryForm, ExactAlgError, FieldElement,
     FunctionField, OverHeightBudget, QQ, RationalField, UniPoly,
-    check_budget, pgl2_act, rational_roots, sqrt,
+    UnsupportedField, check_budget, pgl2_act, rational_roots, sqrt,
 )
 from .weier import (
-    CurvePoint, FieldUnsupported, HitsSingularPoint, ZeroY, add,
-    nodal_param, non_torsion_certificate, order_class, phi_values,
+    CurvePoint, HitsSingularPoint, ZeroY, add, nodal_param,
+    non_torsion_certificate, order_class, phi_values,
 )
 from .dp1 import (
     Dp1Surface, InvalidPoint, WeightedPoint, fiber_to_zero, is_smooth,
@@ -278,10 +278,7 @@ def density_evidence(S: Dp1Surface, data, points, multiples: int = 8,
                 check_budget(acc.y, budget)
             except OverHeightBudget:
                 break
-            W = WeightedPoint(acc.x, acc.y, R.z, R.w)
-            if not S.contains(W):
-                raise ExactAlgError("evidence point off the surface")
-            out.append(W)
+            out.append(WeightedPoint(acc.x, acc.y, R.z, R.w))
             fibers.add((R.z, R.w))
     return EvidenceReport(tuple(out), len(fibers), skipped)
 
@@ -466,7 +463,7 @@ def nodal_density(S: Dp1Surface, params: RunParams | None = None) \
     t_start = time.monotonic()
     K = S.field
     if not isinstance(K, RationalField):
-        raise FieldUnsupported("the nodal pipeline needs QQ")
+        raise UnsupportedField("the nodal pipeline needs QQ")
     if not is_smooth(S):
         raise NotSmooth("the surface has a singular point")
     candidates = [fiber_to_zero(z, w)
@@ -566,7 +563,7 @@ def verify_nodal_model(S: Dp1Surface) -> dict:
     nodal fiber over (0:1)."""
     K = S.field
     if not isinstance(K, RationalField):
-        raise FieldUnsupported("symbolic verification needs QQ")
+        raise UnsupportedField("symbolic verification needs QQ")
     f0, g0 = S.f.coeffs[0], S.g.coeffs[0]
     dt = S.disc_form.chart_w()
     if not f0 or dt.coeff(0) or not dt.coeff(1):
@@ -657,7 +654,7 @@ def search_surface_points(S: Dp1Surface, height: int = 8, limit: int = 8):
     by scanning fibers over small rational base points."""
     K = S.field
     if not isinstance(K, RationalField):
-        raise FieldUnsupported("surface point search needs QQ")
+        raise UnsupportedField("surface point search needs QQ")
     found = []
     fiber_dirs = [(K(t), K.one) for t in range(-height, height + 1)]
     fiber_dirs.append((K.one, K.zero))

@@ -76,8 +76,7 @@ class CQ5Data:
         return CurvePoint(self.x0, self.y0)
 
     def section(self, p, q) -> SectionCurve:
-        p = p if isinstance(p, FieldElement) else self.field(p)
-        q = q if isinstance(q, FieldElement) else self.field(q)
+        p, q = self.field(p), self.field(q)
         return SectionCurve(x0=self.x0, y0=self.y0,
                             a=self.lift_a(p, q), b=self.lift_b(p, q),
                             c=self.lift_c(p, q), p=p, q=q)
@@ -191,8 +190,7 @@ def build(S: Dp1Surface, Q: WeightedPoint) -> CQ5Data:
 def sigma(data: CQ5Data, p, q) -> WeightedPoint:
     """Residual intersection of the section at (p, q) with S."""
     K = data.field
-    p = p if isinstance(p, FieldElement) else K(p)
-    q = q if isinstance(q, FieldElement) else K(q)
+    p, q = K(p), K(q)
     if data.G(p, q):
         raise ExactAlgError("(p, q) is not on the section curve")
     t = _t_at(data, p, q)
@@ -269,8 +267,7 @@ def sigma_at_omega(data: CQ5Data, omega: OmegaPoint) -> CurvePoint:
         return mul(E, -4, Q)
     if E.kind == "nodal" and omega.alpha is not None:
         a1, _ = nodal_alpha_values(data)
-        if isinstance(omega.alpha, FieldElement) and \
-                omega.alpha.field == data.field and omega.alpha == a1:
+        if omega.alpha == a1:
             return mul(E, -4, Q)
     return mul(E, -5, Q)
 

@@ -56,8 +56,7 @@ class WeightedPoint:
         if not isinstance(x, FieldElement):
             raise ExactAlgError("coordinates must be FieldElements")
         field = x.field
-        y, z, w = (v if isinstance(v, FieldElement) else field(v)
-                   for v in (y, z, w))
+        y, z, w = field(y), field(z), field(w)
         if z:
             lam = z.inverse()
         elif w:
@@ -138,8 +137,7 @@ class Dp1Surface:
         return P.y ** 2 == P.x ** 3 + self.f(P.z, P.w) * P.x + self.g(P.z, P.w)
 
     def fiber(self, z0, w0) -> WeierCurve:
-        z0 = z0 if isinstance(z0, FieldElement) else self.field(z0)
-        w0 = w0 if isinstance(w0, FieldElement) else self.field(w0)
+        z0, w0 = self.field(z0), self.field(w0)
         if not z0 and not w0:
             raise ExactAlgError("(0:0) is not a point of P^1")
         return WeierCurve(self.f(z0, w0), self.g(z0, w0))
@@ -298,8 +296,7 @@ class SectionCurve:
         return BinaryForm(self.field, 3, [self.y0, self.a, self.b, self.c])
 
     def point_at(self, z0, w0) -> WeightedPoint:
-        z0 = z0 if isinstance(z0, FieldElement) else self.field(z0)
-        w0 = w0 if isinstance(w0, FieldElement) else self.field(w0)
+        z0, w0 = self.field(z0), self.field(w0)
         return WeightedPoint(self.x_form()(z0, w0), self.y_form()(z0, w0),
                              z0, w0)
 

@@ -10,6 +10,7 @@ Everything here is immutable and exact; no floating point is used anywhere.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import sys
@@ -122,19 +123,22 @@ class FieldElement:
         self.field = field
         self.rep = rep
 
-    _SCALARS = (int, Fraction, str)
-
     def _coerce(self, other):
+        """other as an element of this field for arithmetic; None when it is
+        no scalar. Elements of any other field, the base field included,
+        are rejected: arithmetic never lifts implicitly."""
         if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ExactAlgError("field mismatch")
-            return other
-        return self.field(other)
+            if other.field is self.field or other.field == self.field:
+                return other
+            raise ExactAlgError("field mismatch")
+        if isinstance(other, (int, Fraction, str)):
+            return self.field(other)
+        return None
 
     def __add__(self, other):
-        if not isinstance(other, (FieldElement, *self._SCALARS)):
-            return NotImplemented
         o = self._coerce(other)
+        if o is None:
+            return NotImplemented
         return FieldElement(self.field, self.field._add(self.rep, o.rep))
 
     __radd__ = __add__
@@ -143,17 +147,19 @@ class FieldElement:
         return FieldElement(self.field, self.field._neg(self.rep))
 
     def __sub__(self, other):
-        if not isinstance(other, (FieldElement, *self._SCALARS)):
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        return self + (-self._coerce(other))
+        return self + (-o)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        o = self._coerce(other)
+        return NotImplemented if o is None else o - self
 
     def __mul__(self, other):
-        if not isinstance(other, (FieldElement, *self._SCALARS)):
-            return NotImplemented
         o = self._coerce(other)
+        if o is None:
+            return NotImplemented
         return FieldElement(self.field, self.field._mul(self.rep, o.rep))
 
     __rmul__ = __mul__
@@ -164,10 +170,12 @@ class FieldElement:
         return FieldElement(self.field, self.field._inv(self.rep))
 
     def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
+        o = self._coerce(other)
+        return NotImplemented if o is None else self * o.inverse()
 
     def __rtruediv__(self, other):
-        return self._coerce(other) / self
+        o = self._coerce(other)
+        return NotImplemented if o is None else o / self
 
     def __pow__(self, n: int):
         if n < 0:
@@ -179,13 +187,14 @@ class FieldElement:
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
-            return self.field == other.field and self.rep == other.rep
+            return ((self.field is other.field or self.field == other.field)
+                    and self.rep == other.rep)
         if isinstance(other, (int, Fraction)):
             return self == self.field(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash((id(self.field.__class__), self.field._hash_key(), self.rep))
+        return hash((self.field, self.rep))
 
     def __repr__(self):
         return self.field._to_str(self.rep)
@@ -197,24 +206,42 @@ class FieldElement:
 
 
 class Field:
-    """Base class; subclasses implement raw-representative arithmetic."""
+    """Base class; subclasses implement raw-representative arithmetic.
+    base is the field that an extension is built on (None for QQ, GF(p))."""
+
+    base = None
 
     def __call__(self, value) -> FieldElement:
+        """The one coercion rule: an element of this field is returned
+        unchanged, an element of the base field is lifted, an element of any
+        other field is rejected, and a scalar (int, Fraction, exact text) or,
+        in an extension, a polynomial over the base is converted."""
+        if isinstance(value, FieldElement):
+            if value.field is self or value.field == self:
+                return value
+            if value.field != self.base:
+                raise ExactAlgError("field mismatch")
         return FieldElement(self, self._coerce_rep(value))
 
-    @property
+    @functools.cached_property
     def zero(self):
         return self(0)
 
-    @property
+    @functools.cached_property
     def one(self):
         return self(1)
 
+    def _add(self, a, b):
+        return a + b
+
+    def _neg(self, a):
+        return -a
+
+    def _to_str(self, a):
+        return str(a)
+
     def _bit_size(self, rep) -> int:
         return 0
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
 
 def parse_rational(text) -> Fraction:
@@ -235,19 +262,9 @@ class RationalField(Field):
     char = 0
 
     def _coerce_rep(self, v):
-        if isinstance(v, FieldElement):
-            if v.field != self:
-                raise ExactAlgError("field mismatch")
-            return v.rep
         if isinstance(v, str):
             return parse_rational(v)
         return Fraction(v)
-
-    def _add(self, a, b):
-        return a + b
-
-    def _neg(self, a):
-        return -a
 
     def _mul(self, a, b):
         return a * b
@@ -257,12 +274,6 @@ class RationalField(Field):
 
     def _is_zero(self, a):
         return a == 0
-
-    def _to_str(self, a):
-        return str(a)
-
-    def _hash_key(self):
-        return ("QQ",)
 
     def _bit_size(self, a):
         return a.numerator.bit_length() + a.denominator.bit_length()
@@ -290,10 +301,6 @@ class PrimeField(Field):
         self.char = p
 
     def _coerce_rep(self, v):
-        if isinstance(v, FieldElement):
-            if v.field != self:
-                raise ExactAlgError("field mismatch")
-            return v.rep
         if isinstance(v, str):
             v = parse_rational(v)
         if isinstance(v, Fraction):
@@ -317,12 +324,6 @@ class PrimeField(Field):
 
     def _is_zero(self, a):
         return a == 0
-
-    def _to_str(self, a):
-        return str(a)
-
-    def _hash_key(self):
-        return ("GF", self.p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -351,23 +352,11 @@ class QuotientExt(Field):
         return self(UniPoly(self.base, [0, 1], self.var))
 
     def _coerce_rep(self, v):
-        if isinstance(v, FieldElement):
-            if v.field == self:
-                return v.rep
-            if v.field == self.base:
-                return UniPoly(self.base, [v], self.var)
-            raise ExactAlgError("field mismatch")
         if isinstance(v, UniPoly):
             if v.field != self.base:
                 raise ExactAlgError("field mismatch")
             return v % self.modulus
         return UniPoly(self.base, [self.base(v)], self.var)
-
-    def _add(self, a, b):
-        return a + b
-
-    def _neg(self, a):
-        return -a
 
     def _mul(self, a, b):
         return (a * b) % self.modulus
@@ -382,12 +371,6 @@ class QuotientExt(Field):
 
     def _is_zero(self, a):
         return a.is_zero()
-
-    def _to_str(self, a):
-        return str(a)
-
-    def _hash_key(self):
-        return ("ext", self.var, tuple(c.rep for c in self.modulus.coeffs))
 
     def _bit_size(self, a):
         return sum(c.bit_size() for c in a.coeffs)
@@ -438,13 +421,6 @@ class FunctionField(Field):
         return (num * lc, den * lc)
 
     def _coerce_rep(self, v):
-        if isinstance(v, FieldElement):
-            if v.field == self:
-                return v.rep
-            if v.field == self.base:
-                return self._canon(UniPoly(self.base, [v], self.var),
-                                   UniPoly(self.base, [1], self.var))
-            raise ExactAlgError("field mismatch")
         if isinstance(v, UniPoly):
             if v.field != self.base:
                 raise ExactAlgError("field mismatch")
@@ -470,9 +446,6 @@ class FunctionField(Field):
         if a[1].degree() == 0 and a[1].coeffs and a[1].coeffs[0] == a[1].field(1):
             return str(a[0])
         return f"({a[0]})/({a[1]})"
-
-    def _hash_key(self):
-        return ("ff", self.var)
 
     def _bit_size(self, a):
         return (sum(c.bit_size() for c in a[0].coeffs)
@@ -524,7 +497,7 @@ class UniPoly:
     def __init__(self, field: Field, coeffs, var: str = "t"):
         self.field = field
         self.var = var
-        cs = [c if isinstance(c, FieldElement) else field(c) for c in coeffs]
+        cs = [field(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -549,7 +522,7 @@ class UniPoly:
             if other.field != self.field or other.var != self.var:
                 raise ExactAlgError("polynomial ring mismatch")
             return other
-        return UniPoly(self.field, [self.field(other)], self.var)
+        return UniPoly(self.field, [other], self.var)
 
     # -- arithmetic ----------------------------------------------------------
     def __add__(self, other):
@@ -570,9 +543,7 @@ class UniPoly:
         return self._same(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, FieldElement) and other.field == self.field:
-            return UniPoly(self.field, [c * other for c in self.coeffs], self.var)
-        if isinstance(other, int):
+        if isinstance(other, (FieldElement, int)):
             k = self.field(other)
             return UniPoly(self.field, [c * k for c in self.coeffs], self.var)
         o = self._same(other)
@@ -634,11 +605,11 @@ class UniPoly:
                        self.var)
 
     def __call__(self, x):
-        if not isinstance(x, FieldElement):
-            x = self.field(x)
-        acc = x.field.zero
+        K = x.field if isinstance(x, FieldElement) else self.field
+        x = K(x)   # the point may lie in an extension of self.field
+        acc = K.zero
         for c in reversed(self.coeffs):
-            acc = acc * x + (x.field(c.rep) if c.field == x.field else x.field(c))
+            acc = acc * x + K(c)
         return acc
 
     def compose(self, other: "UniPoly") -> "UniPoly":
@@ -898,7 +869,7 @@ class BinaryForm:
     __slots__ = ("field", "d", "coeffs")
 
     def __init__(self, field: Field, degree: int, coeffs):
-        cs = [c if isinstance(c, FieldElement) else field(c) for c in coeffs]
+        cs = [field(c) for c in coeffs]
         if len(cs) != degree + 1:
             raise ExactAlgError(f"degree-{degree} form needs {degree + 1} coefficients")
         self.field = field
@@ -924,7 +895,7 @@ class BinaryForm:
         if isinstance(other, BinaryForm):
             return BinaryForm.from_unipoly(self.chart_w() * other.chart_w(),
                                            self.d + other.d)
-        k = other if isinstance(other, FieldElement) else self.field(other)
+        k = self.field(other)
         return BinaryForm(self.field, self.d, [c * k for c in self.coeffs])
 
     __rmul__ = __mul__
@@ -933,8 +904,7 @@ class BinaryForm:
         return _power(self, n, BinaryForm(self.field, 0, [1]))
 
     def __call__(self, z0, w0) -> FieldElement:
-        z0 = z0 if isinstance(z0, FieldElement) else self.field(z0)
-        w0 = w0 if isinstance(w0, FieldElement) else self.field(w0)
+        z0, w0 = self.field(z0), self.field(w0)
         acc = self.field.zero
         zp = self.field.one
         wps = [self.field.one]
@@ -979,7 +949,7 @@ def pgl2_act(M, form: BinaryForm) -> BinaryForm:
     """form(M . (z,w)^T): substitutes z -> M00 z + M01 w, w -> M10 z + M11 w.
     Satisfies act(M1, act(M2, f)) = act(M2*M1, f)."""
     field = form.field
-    m = [[e if isinstance(e, FieldElement) else field(e) for e in row] for row in M]
+    m = [[field(e) for e in row] for row in M]
     det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
     if not det:
         raise SingularMatrix(str(M))
@@ -1007,9 +977,8 @@ class BiPoly:
 
     def __init__(self, field: Field, terms: dict):
         self.field = field
-        self.terms = {k: (v if isinstance(v, FieldElement) else field(v))
-                      for k, v in terms.items()}
-        self.terms = {k: v for k, v in self.terms.items() if v}
+        terms = ((k, field(v)) for k, v in terms.items())
+        self.terms = {k: v for k, v in terms if v}
 
     @classmethod
     def zero(cls, field):
@@ -1059,12 +1028,11 @@ class BiPoly:
             if other.field != self.field:
                 raise ExactAlgError("field mismatch")
             return other
-        return BiPoly.const(other if isinstance(other, FieldElement)
-                            else self.field(other))
+        return BiPoly.const(self.field(other))
 
     def __mul__(self, other):
         if isinstance(other, (FieldElement, int)):
-            k = other if isinstance(other, FieldElement) else self.field(other)
+            k = self.field(other)
             return BiPoly(self.field, {m: v * k for m, v in self.terms.items()})
         o = self._same(other)
         out = {}
@@ -1081,14 +1049,12 @@ class BiPoly:
         return _power(self, n, BiPoly.const(self.field.one))
 
     def __call__(self, pv, qv) -> FieldElement:
-        pv = pv if isinstance(pv, FieldElement) else self.field(pv)
-        qv = qv if isinstance(qv, FieldElement) else self.field(qv)
-        K = pv.field   # the point may lie in an extension of self.field
-        lift = None if K == self.field else K
+        K = pv.field if isinstance(pv, FieldElement) else self.field
+        pv, qv = K(pv), K(qv)   # the point may lie in an extension of self.field
         acc = K.zero
         ppow, qpow = {0: K.one}, {0: K.one}
         for (i, j), c in self.terms.items():
-            c = lift(c) if lift else c
+            c = K(c)
             while i not in ppow:
                 m = max(ppow)
                 ppow[m + 1] = ppow[m] * pv

@@ -18,9 +18,7 @@ from .exactalg import (
     RationalField, UniPoly, UnsupportedField, check_budget, sqrt,
     square_split, squarefree_part,
 )
-from .weier import (
-    CurvePoint, FieldUnsupported, WeierCurve, mul, non_torsion_certificate,
-)
+from .weier import CurvePoint, WeierCurve, mul, non_torsion_certificate
 from .cq5 import CQ5Data, components
 
 
@@ -125,7 +123,7 @@ def search_points(model: QuarticModel, height: int) -> list:
     max(|u|, w) <= height, plus the rational points at infinity."""
     K = model.field
     if not isinstance(K, RationalField):
-        raise FieldUnsupported("point search needs QQ")
+        raise UnsupportedField("point search needs QQ")
     out = [QuarticPoint("at_infinity", branch=a)
            for a in infinity_branches(model)]
     for p in _small_rationals(K, height):
@@ -369,7 +367,7 @@ def infinitude_certificate(data: CQ5Data, height: int = 40) \
         -> InfinitudeCertificate:
     """Certify that the section curve has infinitely many rational points."""
     if not isinstance(data.field, RationalField):
-        raise FieldUnsupported("infinitude certificates need QQ")
+        raise UnsupportedField("infinitude certificates need QQ")
     if not data.c[0]:
         graph = [c for c in components(data) if c.shape == "graph"][0]
         return InfinitudeCertificate(

@@ -14,7 +14,9 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .exactalg import QQ, ExactAlgError, FieldElement, RationalField
+from .exactalg import (
+    QQ, ExactAlgError, FieldElement, RationalField, UnsupportedField,
+)
 
 
 class HitsSingularPoint(ExactAlgError):
@@ -26,10 +28,6 @@ class ZeroY(ExactAlgError):
 
 
 class WrongOrder(ExactAlgError):
-    pass
-
-
-class FieldUnsupported(ExactAlgError):
     pass
 
 
@@ -52,7 +50,7 @@ class WeierCurve:
             raise ExactAlgError("A must be a FieldElement")
         self.field = A.field
         self.A = A
-        self.B = B if isinstance(B, FieldElement) else self.field(B)
+        self.B = self.field(B)
         self.disc = 4 * A ** 3 + 27 * self.B ** 2
         if self.disc:
             self.kind = "smooth"
@@ -101,7 +99,7 @@ class CurvePoint:
                 raise ExactAlgError("coordinates must be FieldElements")
             self.is_identity = False
             self.x = x
-            self.y = y if isinstance(y, FieldElement) else x.field(y)
+            self.y = x.field(y)
 
     @classmethod
     def identity(cls):
@@ -180,8 +178,7 @@ class PhiValues:
 
 def phi_values(A: FieldElement, B, x0) -> PhiValues:
     field = A.field
-    B = B if isinstance(B, FieldElement) else field(B)
-    x0 = x0 if isinstance(x0, FieldElement) else field(x0)
+    B, x0 = field(B), field(x0)
     phi2 = 4 * (x0 ** 3 + A * x0 + B)
     psi = 6 * x0 ** 2 + 2 * A
     quarter = field(1) / field(4)
@@ -247,7 +244,7 @@ class TorsionVerdict:
 def non_torsion_certificate(E: WeierCurve, P: CurvePoint) -> TorsionVerdict:
     """Nagell-Lutz on an integral model plus the Mazur order bound."""
     if not isinstance(E.field, RationalField):
-        raise FieldUnsupported("non_torsion_certificate needs QQ")
+        raise UnsupportedField("non_torsion_certificate needs QQ")
     if E.kind != "smooth":
         raise ExactAlgError("non_torsion_certificate needs a smooth curve")
     if P.is_identity:
@@ -289,8 +286,7 @@ class TateForm:
 def order3_family(field, beta, e: int, eta):
     """(x0, y0, A, B) of the order-3 parametrization with parameter beta,
     e in {0,1}, scaled by eta."""
-    beta = beta if isinstance(beta, FieldElement) else field(beta)
-    eta = eta if isinstance(eta, FieldElement) else field(eta)
+    beta, eta = field(beta), field(eta)
     u = field(3 * e)
     A = (6 * beta - 27) * e
     B = beta ** 2 - 18 * (beta - 3) * e
@@ -298,8 +294,7 @@ def order3_family(field, beta, e: int, eta):
 
 
 def order5_family(field, beta, eta):
-    beta = beta if isinstance(beta, FieldElement) else field(beta)
-    eta = eta if isinstance(eta, FieldElement) else field(eta)
+    beta, eta = field(beta), field(eta)
     u0 = 3 * (beta ** 2 + 6 * beta + 1)
     v0 = 108 * beta
     A = -27 * (beta ** 4 + 12 * beta ** 3 + 14 * beta ** 2 - 12 * beta + 1)

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dp1cert.exactalg import (
-    QQ, BinaryForm, BiPoly, DivisionByZero, FunctionField, InseparableCase,
-    PrimeField, QuotientExt, SingularMatrix, UniPoly, UnsupportedField,
-    ZeroDivisor, parse_rational, pgl2_act, poly_gcd, rational_roots,
-    resultant_q, sqrt, squarefree_decomposition, squarefree_part,
+    QQ, BinaryForm, BiPoly, DivisionByZero, ExactAlgError, FunctionField,
+    InseparableCase, PrimeField, QuotientExt, SingularMatrix, UniPoly,
+    UnsupportedField, ZeroDivisor, parse_rational, pgl2_act, poly_gcd,
+    rational_roots, resultant_q, sqrt, squarefree_decomposition,
+    squarefree_part,
 )
+from dp1cert.weier import CurvePoint
 
 GF11 = PrimeField(11)
 GF5 = PrimeField(5)
@@ -121,6 +123,70 @@ def test_parse_rational():
     assert parse_rational("3/4") == Fraction(3, 4)
     with pytest.raises(ValueError):
         parse_rational("1//2")
+
+
+# --------------------------------------------------------------------------
+# the coercion rule: a field returns its own elements unchanged, lifts
+# elements of its base field and rejects all others
+# --------------------------------------------------------------------------
+
+GF7 = PrimeField(7)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: UniPoly(QQ, [GF7(1), 1]),
+    lambda: BinaryForm(QQ, 1, [GF7(1), 1]),
+    lambda: BiPoly(QQ, {(0, 0): GF7(1)}),
+    lambda: CurvePoint(QQ(1), GF7(2)),
+], ids=["UniPoly", "BinaryForm", "BiPoly", "CurvePoint"])
+def test_elements_of_another_field_are_rejected(build):
+    with pytest.raises(ExactAlgError, match="field mismatch"):
+        build()
+
+
+def test_own_elements_and_units_are_shared():
+    x = QQ(Fraction(3, 4))
+    assert QQ(x) is x
+    assert QQ.zero is QQ.zero and QQ.one is QQ.one
+    assert QQ.zero == 0 and GF7.one == 1
+
+
+def test_equal_fields_hash_their_elements_equal():
+    a, b = PrimeField(7), PrimeField(7)
+    assert a is not b
+    x = a(3)
+    assert b(x) is x
+    assert hash(a(3)) == hash(b(3)) == hash(b(10))
+    assert len({a(3), b(3), b(10)}) == 1
+
+
+def test_extensions_lift_base_elements_but_arithmetic_does_not():
+    K = QuotientExt(UniPoly(QQ, [-2, 0, 1], "a"))
+    r = K.generator()
+    three = K(QQ(3))
+    assert three.field == K and three == K(3)
+    assert r * r == K(QQ(2))
+    F = FunctionField(QQ, "u")
+    assert F(QQ(3)) == F.poly([3])
+    with pytest.raises(ExactAlgError, match="field mismatch"):
+        K(GF7(3))
+    with pytest.raises(ExactAlgError, match="field mismatch"):
+        r + QQ(1)
+    with pytest.raises(ExactAlgError, match="field mismatch"):
+        QQ(1) * GF7(1)
+    # evaluation at an extension point lifts the coefficients
+    assert UniPoly(QQ, [-2, 0, 1])(r) == K.zero
+    assert BiPoly(QQ, {(2, 0): 1, (0, 0): -2})(r, QQ(5)) == K.zero
+
+
+def test_scalars_defer_to_polynomial_operators():
+    t = UniPoly(QQ, [0, 1])
+    assert QQ(2) + t == UniPoly(QQ, [2, 1])
+    assert QQ(2) - t == UniPoly(QQ, [2, -1])
+    assert QQ(2) * t == t * 2 == UniPoly(QQ, [0, 2])
+    P = BiPoly.var_p(QQ)
+    assert QQ(2) * P == BiPoly(QQ, {(1, 0): 2})
+    assert QQ(2) * BinaryForm(QQ, 1, [1, 1]) == BinaryForm(QQ, 1, [2, 2])
 
 
 # --------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Root finding without integer factoring or scans of GF(p): `dp1cert check`
 on inputs whose discriminant has large coefficients or lives over a large
-prime field finishes in bounded time, and `rational_roots` / `sqrt` agree
-with sympy as an independent oracle."""
+prime field finishes in bounded time, and `rational_roots` / `sqrt` and the
+rest of the polynomial layer (`poly_gcd`, `squarefree_decomposition`,
+`resultant_q`) agree with sympy as an independent oracle."""
 
 import io
 import json
@@ -13,7 +14,10 @@ from fractions import Fraction
 import pytest
 
 from dp1cert.cli import main
-from dp1cert.exactalg import QQ, PrimeField, UniPoly, rational_roots, sqrt
+from dp1cert.exactalg import (
+    QQ, BiPoly, PrimeField, UniPoly, poly_gcd, rational_roots, resultant_q,
+    sqrt, squarefree_decomposition,
+)
 
 MERSENNE61 = 2 ** 61 - 1
 
@@ -151,3 +155,123 @@ def test_sqrt_gfp_against_sympy(p):
         r = sqrt(K(a))
         assert (r.rep if r is not None else None) == \
             (min(expected) if expected else None)
+
+
+# gcd, squarefree decomposition and resultants over QQ and GF(101), on
+# seeded inputs with planted common factors and multiplicities
+
+ORACLE_FIELDS = [None, 101]
+
+
+def field_of(p):
+    return QQ if p is None else PrimeField(p)
+
+
+def small_root(p):
+    if p is None:
+        return lambda r: (r.randint(-50, 50), r.randint(1, 9))
+    return lambda r: (r.randrange(p), 1)
+
+
+def to_sympy(a, p):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    if p is None:
+        coeffs = [sympy.Rational(c.rep.numerator, c.rep.denominator)
+                  for c in reversed(a.coeffs)]
+        return sympy.Poly(coeffs, x, domain="QQ")
+    return sympy.Poly([c.rep for c in reversed(a.coeffs)], x, modulus=p)
+
+
+def sympy_coeffs(P, p):
+    """Coefficients of a sympy Poly, lowest degree first, as our reps."""
+    cs = reversed(P.all_coeffs())
+    if p is None:
+        return [Fraction(int(c.p), int(c.q)) for c in cs]
+    return [int(c) % p for c in cs]
+
+
+def reps(a):
+    return [c.rep for c in a.coeffs]
+
+
+@pytest.mark.parametrize("p", ORACLE_FIELDS)
+def test_poly_gcd_against_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(f"gcd-{p}")
+    K = field_of(p)
+    for _ in range(30):
+        common = planted_poly(rng, K, small_root(p))
+        a = common * planted_poly(rng, K, small_root(p))
+        b = common * planted_poly(rng, K, small_root(p))
+        expected = sympy.gcd(to_sympy(a, p), to_sympy(b, p)).monic()
+        assert reps(poly_gcd(a, b)) == sympy_coeffs(expected, p)
+
+
+@pytest.mark.parametrize("p", ORACLE_FIELDS)
+def test_squarefree_decomposition_against_sympy(p):
+    pytest.importorskip("sympy")
+    rng = random.Random(f"sqf-{p}")
+    K = field_of(p)
+    for _ in range(30):
+        a = planted_poly(rng, K, small_root(p)) \
+            * planted_poly(rng, K, small_root(p))
+        _, factors = to_sympy(a, p).sqf_list()
+        expected = sorted((m, sympy_coeffs(f.monic(), p)) for f, m in factors)
+        got = sorted((m, reps(f)) for f, m in squarefree_decomposition(a))
+        assert got == expected
+
+
+def random_bipoly(rng, K):
+    """Degree 1-3 in q, with a nonzero leading coefficient in q: dense with
+    coefficients up to 9 and degree 2 in p, sparse, or constant in p with
+    unit coefficients (the last two make zero pivots, so row swaps occur).
+    Coefficients are the reps of K, so sympy sees the same polynomial."""
+    dq = rng.randint(1, 3)
+    density, values, dp = rng.choice([(0.7, range(-9, 10), 2),
+                                      (0.2, range(-9, 10), 2),
+                                      (0.5, (-1, 1), 0)])
+    while True:
+        terms = {(i, j): K(rng.choice(values))
+                 for i in range(dp + 1) for j in range(dq + 1)
+                 if rng.random() < density}
+        f = BiPoly(K, terms)
+        if f.deg_q() == dq:
+            return f
+
+
+def bipoly_to_sympy(f, pv, qv):
+    sympy = pytest.importorskip("sympy")
+    return sum(sympy.Rational(c.rep) * pv ** i * qv ** j
+               for (i, j), c in f.terms.items())
+
+
+@pytest.mark.parametrize("p", ORACLE_FIELDS)
+def test_resultant_q_against_sylvester_determinant(p):
+    # the Sylvester determinant, not sympy.resultant: sympy 1.14.0 gives
+    # resultant(q, q**3 + 1, q) = -1 where the determinant is 1; the
+    # determinant is taken over ZZ[p] or QQ[p] (a symbolic det is minutes)
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    from sympy.polys.subresultants_qq_zz import sylvester
+    rng = random.Random(f"res-{p}")
+    K = field_of(p)
+    pv, qv = sympy.symbols("p q")
+    for k in range(60):
+        a, b = random_bipoly(rng, K), random_bipoly(rng, K)
+        if k % 4 == 0:                       # a planted common factor
+            c = random_bipoly(rng, K)
+            a, b = a * c, b * c
+        M = DomainMatrix.from_Matrix(sylvester(
+            bipoly_to_sympy(a, pv, qv), bipoly_to_sympy(b, pv, qv), qv, 1))
+        det = sympy.Poly(M.domain.to_sympy(M.det()), pv, domain="QQ")
+        expected = sympy_coeffs(det, None)
+        if p is not None:
+            expected = [c.numerator * pow(c.denominator, -1, p) % p
+                        for c in expected]
+        while expected and not expected[-1]:
+            expected.pop()
+        res = resultant_q(a, b)
+        assert reps(res) == expected
+        if k % 4 == 0:
+            assert res.is_zero()

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from dp1cert.exactalg import QQ, ExactAlgError, PrimeField
+from dp1cert.exactalg import QQ, ExactAlgError, PrimeField, UnsupportedField
 from dp1cert.weier import (
-    AnomalousOrderWarning, CurvePoint, FieldUnsupported, HitsSingularPoint,
+    AnomalousOrderWarning, CurvePoint, HitsSingularPoint,
     PhiValues, TateForm, WeierCurve, WrongOrder, ZeroY, add, mul,
     nodal_curve, nodal_param, non_torsion_certificate, order3_family,
     order5_family, order_class, phi_values, tate_normal_form, validate_point,
@@ -112,7 +112,7 @@ def test_non_torsion_certificate():
     Eq = WeierCurve(QQ(Fraction(-2, 16)), QQ(0))
     vq = non_torsion_certificate(Eq, qpt(Fraction(-1, 4), Fraction(1, 8)))
     assert not vq.is_torsion
-    with pytest.raises(FieldUnsupported):
+    with pytest.raises(UnsupportedField):
         non_torsion_certificate(WeierCurve(PrimeField(5)(1), PrimeField(5)(1)),
                                 CurvePoint(PrimeField(5)(0), PrimeField(5)(1)))
 
