@@ -131,6 +131,8 @@ def _run_params(args) -> RunParams:
     for name in ("height", "multiples", "count"):
         value = getattr(args, name, None)
         if value is not None:
+            if value < 1:
+                raise ParseError(f"--{name} must be >= 1, got {value}")
             kwargs[name] = value
     return RunParams(**kwargs)
 
@@ -194,6 +196,8 @@ def cmd_sigma(args, out):
     if data.G(p, q):
         raise ParseError(f"({p}, {q}) does not satisfy G = 0")
     R = sigma(data, p, q)
+    if not data.surface.contains(R):
+        raise ExactAlgError("sigma image off the surface")
     _emit({"sigma": f"{R.x},{R.y},{R.z},{R.w}",
            "normalized": str(norm.matrix != ((S.field.one, S.field.zero),
                                              (S.field.zero, S.field.one)))},
@@ -230,7 +234,12 @@ def cmd_cq5(args, out):
 
 
 def cmd_base_change(args, out):
-    t = KodairaType.parse(args.type)
+    if args.e < 1:
+        raise ParseError(f"base-change degree must be >= 1, got {args.e}")
+    try:
+        t = KodairaType.parse(args.type)
+    except ExactAlgError as exc:
+        raise ParseError(str(exc)) from exc
     out.write(f"{base_change_fiber_type(t, args.e)}\n")
     return 0
 

@@ -188,7 +188,8 @@ def build(S: Dp1Surface, Q: WeightedPoint) -> CQ5Data:
 # ---------------------------------------------------------------------------
 
 def sigma(data: CQ5Data, p, q) -> WeightedPoint:
-    """Residual intersection of the section at (p, q) with S."""
+    """Residual intersection of the section at (p, q) with S. Membership
+    is not re-checked here: callers verify the points they emit."""
     K = data.field
     p, q = K(p), K(q)
     if data.G(p, q):
@@ -196,10 +197,7 @@ def sigma(data: CQ5Data, p, q) -> WeightedPoint:
     t = _t_at(data, p, q)
     if t is None:
         raise MinusOneCurve("the section lies inside S")
-    P = data.section(p, q).point_at(*t)
-    if not data.surface.contains(P):
-        raise ExactAlgError("sigma image off the surface")
-    return P
+    return data.section(p, q).point_at(*t)
 
 
 # ---------------------------------------------------------------------------

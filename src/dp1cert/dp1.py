@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactalg import (
-    BinaryForm, ExactAlgError, Field, FieldElement, UniPoly, pgl2_act,
-    poly_gcd, rational_roots, squarefree_decomposition, squarefree_part,
+    BinaryForm, ExactAlgError, Field, FieldElement, RationalField, UniPoly,
+    pgl2_act, poly_gcd, rational_roots, squarefree_decomposition,
+    squarefree_part,
 )
 from .weier import WeierCurve
 
@@ -134,7 +135,18 @@ class Dp1Surface:
     def contains(self, P: WeightedPoint) -> bool:
         if P.is_base_point:
             return True
-        return P.y ** 2 == P.x ** 3 + self.f(P.z, P.w) * P.x + self.g(P.z, P.w)
+        if not isinstance(self.field, RationalField):
+            return (P.y ** 2
+                    == P.x ** 3 + self.f(P.z, P.w) * P.x + self.g(P.z, P.w))
+        # over QQ: y^2 = x^3 + (F/Fd) x + G/Gd cross-multiplied in integers
+        x, y, z, w = P.x.rep, P.y.rep, P.z.rep, P.w.rep
+        F, Fd = self.f.eval_qq(z, w)
+        G, Gd = self.g.eval_qq(z, w)
+        xn, xd = x.numerator, x.denominator
+        xd2 = xd * xd
+        return (y.numerator ** 2 * xd2 * xd * Fd * Gd
+                == y.denominator ** 2 * ((xn * xn * Fd + F * xd2) * xn * Gd
+                                         + G * Fd * xd2 * xd))
 
     def fiber(self, z0, w0) -> WeierCurve:
         z0, w0 = self.field(z0), self.field(w0)

@@ -905,6 +905,8 @@ class BinaryForm:
 
     def __call__(self, z0, w0) -> FieldElement:
         z0, w0 = self.field(z0), self.field(w0)
+        if isinstance(self.field, RationalField):
+            return self.field(Fraction(*self.eval_qq(z0.rep, w0.rep)))
         acc = self.field.zero
         zp = self.field.one
         wps = [self.field.one]
@@ -915,6 +917,22 @@ class BinaryForm:
                 acc = acc + c * zp * wps[self.d - i]
             zp = zp * z0
         return acc
+
+    def eval_qq(self, z: Fraction, w: Fraction) -> tuple:
+        """The value at (z : w) over QQ as an unreduced integer pair (N, D),
+        D > 0, with no gcd: z = a/c and w = b/c over c = den(z) den(w), the
+        coefficients e_i = E_i/L over L = lcm of their denominators, then one
+        homogeneous Horner pass N = sum E_i a^i b^(d-i) and D = L c^d."""
+        L = math.lcm(*(e.rep.denominator for e in self.coeffs))
+        a, b = z.numerator * w.denominator, w.numerator * z.denominator
+        c = z.denominator * w.denominator
+        acc, bp = 0, 1
+        for e in reversed(self.coeffs):
+            acc *= a
+            if e:
+                acc += e.rep.numerator * (L // e.rep.denominator) * bp
+            bp *= b
+        return acc, L * c ** self.d
 
     def chart_w(self, var: str = "t") -> UniPoly:
         """Dehomogenize at w=1: coefficient of t^i is e_i."""

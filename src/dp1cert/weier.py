@@ -43,7 +43,7 @@ class AnomalousOrderWarning(UserWarning):
 class WeierCurve:
     """y^2 = x^3 + A x + B over a field of characteristic != 2, 3."""
 
-    __slots__ = ("field", "A", "B", "disc", "kind", "x_sing")
+    __slots__ = ("field", "A", "B", "_classification")
 
     def __init__(self, A: FieldElement, B: FieldElement):
         if not isinstance(A, FieldElement):
@@ -51,17 +51,24 @@ class WeierCurve:
         self.field = A.field
         self.A = A
         self.B = self.field(B)
-        self.disc = 4 * A ** 3 + 27 * self.B ** 2
-        if self.disc:
-            self.kind = "smooth"
-            self.x_sing = None
-        elif not A and not self.B:
-            self.kind = "cuspidal"
-            self.x_sing = self.field.zero
-        else:
-            self.kind = "nodal"
-            # double root of x^3 + Ax + B
-            self.x_sing = -3 * self.B / (2 * A)
+        self._classification = None
+
+    def _classify(self) -> tuple:
+        """(kind, x_sing) from the discriminant 4A^3 + 27B^2, computed on
+        first use: the group law on a smooth fiber never needs it."""
+        if self._classification is None:
+            A, B = self.A, self.B
+            if 4 * A ** 3 + 27 * B ** 2:
+                self._classification = ("smooth", None)
+            elif not A and not B:
+                self._classification = ("cuspidal", self.field.zero)
+            else:
+                # double root of x^3 + Ax + B
+                self._classification = ("nodal", -3 * B / (2 * A))
+        return self._classification
+
+    kind = property(lambda self: self._classify()[0])
+    x_sing = property(lambda self: self._classify()[1])
 
     def rhs(self, x: FieldElement) -> FieldElement:
         return x ** 3 + self.A * x + self.B
@@ -74,8 +81,8 @@ class WeierCurve:
         return not self.is_singular_point(P)
 
     def is_singular_point(self, P: "CurvePoint") -> bool:
-        return (not P.is_identity and self.x_sing is not None
-                and P.x == self.x_sing and not P.y)
+        return (not P.is_identity and not P.y and self.x_sing is not None
+                and P.x == self.x_sing)
 
     def __eq__(self, other):
         return (isinstance(other, WeierCurve)

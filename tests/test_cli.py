@@ -1,5 +1,7 @@
 import io
 import json
+import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -155,6 +157,39 @@ def test_nodal_density_no_fiber_exit_code(tmp_path):
     assert code == 2
 
 
+@contextmanager
+def deadline(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"did not finish within {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_run_flags_must_be_positive(tmp_path, capsys):
+    # the README example surface; a non-positive --height, --multiples or
+    # --count is rejected before any search (it used to search at height
+    # 8, loop without collecting evidence, or end in a silent Inconclusive)
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps({"field": {"kind": "rationals"},
+                                "f": ["-3", "0", "0", "0", "0"],
+                                "g": ["2", "1", "0", "0", "0", "0", "1"]}))
+    for command in ("certify", "nodal-density"):
+        for flag in ("--height", "--multiples", "--count"):
+            for value in ("0", "-2"):
+                argv = [command, str(path), flag, value]
+                with deadline(5):
+                    code, text = run(argv)
+                assert (code, text) == (1, ""), argv
+                err = capsys.readouterr().err
+                assert err == f"error: {flag} must be >= 1, got {value}\n", \
+                    argv
+
+
 def test_budget_env_override(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("DP1CERT_BIT_BUDGET", "131072")
     S, _ = instances.nodal_fixture()
@@ -221,6 +256,20 @@ def test_base_change_subcommand():
         assert code == 0 and text.strip() == expected
     code, _ = run(["base-change", "II*", "2"])
     assert code == 2
+
+
+def test_base_change_bad_input(capsys):
+    # a malformed fiber type or a degree below 1 is bad input (exit code
+    # 1); II* above is a limit of the table (exit code 2)
+    for argv in (["base-change", "foo", "2"],
+                 ["base-change", "I-3", "2"],
+                 ["base-change", "I1", "0"],
+                 ["base-change", "I2", "-1"]):
+        code, text = run(argv)
+        assert (code, text) == (1, ""), argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+        assert "ExactAlgError" not in err, argv
 
 
 def test_example_subcommand():
