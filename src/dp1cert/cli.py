@@ -8,6 +8,7 @@ Exit codes: 0 for a Dense* conclusion (or a plain successful report),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -278,7 +279,10 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing keeps no state
+    in it, and building it costs more than a small `check`."""
     ap = _ArgumentParser(
         prog="dp1cert",
         description="Zariski-density certification for rational points on "

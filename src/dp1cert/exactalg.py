@@ -93,20 +93,16 @@ def _is_probable_prime(n: int) -> bool:
     return True
 
 
-def _power(base, n: int, one, modulus=None):
+def _power(base, n: int, one):
     """base ** n for n >= 0 by square-and-multiply; one is the unit of
-    base's ring. A modulus reduces every product (powers in K[t]/(modulus))."""
+    base's ring."""
     out = one
     while n:
         if n & 1:
             out = out * base
-            if modulus is not None:
-                out = out % modulus
         n >>= 1
         if n:
             base = base * base
-            if modulus is not None:
-                base = base % modulus
     return out
 
 
@@ -480,8 +476,8 @@ def sqrt(a: FieldElement):
             return f(Fraction(rn, rd))
         return None
     if isinstance(f, PrimeField):
-        roots = rational_roots(UniPoly(f, [-a, 0, 1]))
-        return roots[0] if roots else None
+        roots = _roots_mod_p([-a.rep % f.p, 0, 1], f.p)
+        return f(min(roots)) if roots else None
     raise UnsupportedField(f"sqrt over {f}")
 
 
@@ -699,9 +695,82 @@ def _int_prem(a: list, b: list) -> list:
     return _primitive(a)
 
 
+# Residue lists: a polynomial over GF(p) as plain ints in [0, p), lowest
+# degree first, without trailing zeros (the zero polynomial is []). Products
+# accumulate unreduced and are reduced once per coefficient.
+
+def _zp(cs, p) -> list:
+    """Integers reduced mod p, trailing zeros stripped."""
+    out = [c % p for c in cs]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _zp_mul(a: list, b: list, p) -> list:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return _zp(out, p)
+
+
+def _zp_monic(a: list, p) -> list:
+    if not a or a[-1] == 1:
+        return a
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _zp_divmod(a: list, m: list, p) -> tuple:
+    """(q, r) with a = q m + r and deg r < deg m, for m monic."""
+    dm = len(m) - 1
+    r = list(a)
+    if len(r) <= dm:
+        return [], r
+    q = [0] * (len(r) - dm)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + dm] % p
+        if c:
+            for j in range(dm):
+                r[k + j] -= c * m[j]
+    return q, _zp(r[:dm], p)
+
+
+def _zp_gcd(a: list, b: list, p) -> list:
+    """Monic gcd by Euclid; gcd(0, b) = monic(b)."""
+    while b:
+        b = _zp_monic(b, p)
+        a, b = b, _zp_divmod(a, b, p)[1]
+    return _zp_monic(a, p)
+
+
+def _zp_powmod(base: list, n: int, m: list, p) -> list:
+    """base^n mod the monic m by left-to-right square-and-multiply, so every
+    multiply is by base itself: O(deg m) for the root finder's linear
+    bases, where right-to-left would multiply two full remainders."""
+    out = [1]
+    for bit in bin(n)[2:]:
+        out = _zp_divmod(_zp_mul(out, out, p), m, p)[1]
+        if bit == "1":
+            out = _zp_divmod(_zp_mul(out, base, p), m, p)[1]
+    return out
+
+
+def _zp_minus_power(a: list, k: int, p) -> list:
+    """a - t^k."""
+    out = a + [0] * (k + 1 - len(a))
+    out[k] -= 1
+    return _zp(out, p)
+
+
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     """Monic gcd; primitive PRS over ZZ when the field is QQ (avoids fraction
-    blow-up), monic Euclid otherwise. gcd(0, b) = monic(b)."""
+    blow-up), Euclid on residue lists over GF(p), monic Euclid otherwise.
+    gcd(0, b) = monic(b)."""
     if a.field != b.field or a.var != b.var:
         raise ExactAlgError("polynomial ring mismatch")
     if a.is_zero():
@@ -715,6 +784,10 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
         while v:
             u, v = v, _int_prem(u, v)
         return UniPoly(a.field, u, a.var).monic()
+    if isinstance(a.field, PrimeField):
+        return UniPoly(a.field, _zp_gcd([c.rep for c in a.coeffs],
+                                        [c.rep for c in b.coeffs],
+                                        a.field.p), a.var)
     r0, r1 = a, b
     while not r1.is_zero():
         r0, r1 = r1, r0 % r1
@@ -791,26 +864,29 @@ def square_split(a: UniPoly):
     return sq, red
 
 
-def _roots_mod_p(a: UniPoly) -> list:
-    """Distinct roots of a over GF(p), unordered: the linear part
-    gcd(a, t^p - t), split by Cantor-Zassenhaus equal-degree splitting with
-    a fixed seed (von zur Gathen-Gerhard, Modern Computer Algebra, 14.3)."""
-    field = a.field
-    if a.degree() < 1:
+def _roots_mod_p(a: list, p: int) -> list:
+    """Distinct roots in [0, p) of the residue list a, unordered: the linear
+    part gcd(a, t^p - t), split by Cantor-Zassenhaus equal-degree splitting
+    with a fixed seed (von zur Gathen-Gerhard, Modern Computer Algebra,
+    14.3)."""
+    a = _zp_monic(a, p)
+    if len(a) < 2:
         return []
-    t = UniPoly(field, [0, 1], a.var)
-    one = UniPoly(field, [1], a.var)
-    stack = [poly_gcd(a, _power(t, field.p, one, a) - t)]
+    t_p = _zp_powmod([0, 1], p, a, p)
+    stack = [_zp_gcd(a, _zp_minus_power(t_p, 1, p), p)]
     rng = random.Random(0xD1CE)
     roots = []
     while stack:
         h = stack.pop()
-        if h.degree() == 1:
-            roots.append(-h.coeff(0))
-        elif h.degree() > 1:
-            w = _power(t + rng.randrange(field.p), (field.p - 1) // 2, one, h)
-            g = poly_gcd(h, w - one)
-            stack += [g, h // g] if 0 < g.degree() < h.degree() else [h]
+        if len(h) == 2:
+            roots.append(-h[0] % p)
+        elif len(h) > 2:
+            w = _zp_powmod([rng.randrange(p), 1], (p - 1) // 2, h, p)
+            g = _zp_gcd(h, _zp_minus_power(w, 0, p), p)
+            if 1 < len(g) < len(h):
+                stack += [g, _zp_divmod(h, g, p)[0]]
+            else:
+                stack.append(h)
     return roots
 
 
@@ -824,7 +900,8 @@ def rational_roots(a: UniPoly) -> list:
         raise ExactAlgError("rational_roots of zero polynomial")
     field = a.field
     if isinstance(field, PrimeField):
-        return sorted(_roots_mod_p(a), key=lambda r: r.rep)
+        return [field(r) for r in
+                sorted(_roots_mod_p([c.rep for c in a.coeffs], field.p))]
     if not isinstance(field, RationalField):
         raise UnsupportedField(f"rational_roots over {field}")
     ints = _qq_poly_to_int_list(squarefree_part(a))
@@ -835,8 +912,8 @@ def rational_roots(a: UniPoly) -> list:
     p = 7
     while True:
         if lc % p and _is_probable_prime(p):
-            fp = UniPoly(PrimeField(p), ints, a.var)
-            if poly_gcd(fp, fp.derivative()).degree() == 0:
+            fp = _zp(ints, p)
+            if len(_zp_gcd(fp, _zp(dints, p), p)) == 1:
                 break
         p += 2
 
@@ -847,8 +924,8 @@ def rational_roots(a: UniPoly) -> list:
         return acc
 
     roots = []
-    for r0 in _roots_mod_p(fp):
-        r, m = r0.rep, p
+    for r in _roots_mod_p(fp, p):
+        m = p
         while m <= bound:
             m *= m
             r = (r - at(ints, r, m) * pow(at(dints, r, m), -1, m)) % m

@@ -1,6 +1,10 @@
 import io
 import json
+import os
+import pathlib
 import signal
+import subprocess
+import sys
 from contextlib import contextmanager
 
 import pytest
@@ -70,6 +74,29 @@ def test_parse_errors(tmp_path, capsys):
         assert (code, text) == (1, ""), argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
+def fresh_run(argv):
+    """`dp1cert argv` in a new interpreter: (exit code, stdout, stderr)."""
+    import dp1cert
+    env = dict(os.environ,
+               PYTHONPATH=str(pathlib.Path(dp1cert.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-m", "dp1cert.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_main_repeated_in_one_process(tmp_path, capsys):
+    # the parser is built once per process; a call after a bad command
+    # line must still answer as a fresh process does
+    path = write_surface(tmp_path, instances.nodal_fixture()[0])
+    calls = (["check", path, "--format", "json"],
+             ["check", path, "--point", "1,2,3,4"],
+             ["check", path, "--format", "json"])
+    for argv in calls:
+        code, text = run(argv)
+        assert (code, text, capsys.readouterr().err) == fresh_run(argv), argv
+    assert [run(argv)[0] for argv in calls] == [0, 1, 0]
 
 
 # ---------------------------------------------------------------------------

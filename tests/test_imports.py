@@ -1,8 +1,10 @@
 """Every name a dp1cert module imports is used in that module (stdlib-only
-AST scan; names listed in a module's __all__ count as used)."""
+AST scan; names listed in a module's __all__ count as used), and the
+runtime imports nothing outside the standard library."""
 
 import ast
 import pathlib
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "dp1cert"
 
@@ -33,5 +35,32 @@ def test_scan_flags_an_unused_import():
 
 def test_no_unused_imports_in_src():
     found = {path.name: unused_imports(ast.parse(path.read_text()))
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def non_stdlib_imports(tree: ast.Module) -> list:
+    """(line, module) of every absolute import outside the standard library
+    of the running interpreter; relative imports stay in the package."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.lineno, node.module))
+    return sorted((line, name) for line, name in found
+                  if name.split(".")[0] not in sys.stdlib_module_names)
+
+
+def test_scan_flags_a_non_stdlib_import():
+    tree = ast.parse("import math, sympy\n"
+                     "from fractions import Fraction\n"
+                     "from .exactalg import QQ\n"
+                     "from sympy.polys import Poly\n")
+    assert non_stdlib_imports(tree) == [(1, "sympy"), (4, "sympy.polys")]
+
+
+def test_runtime_is_stdlib_only():
+    found = {path.name: non_stdlib_imports(ast.parse(path.read_text()))
              for path in sorted(SRC.glob("*.py"))}
     assert {name: hits for name, hits in found.items() if hits} == {}

@@ -1,11 +1,13 @@
 """Root finding without integer factoring or scans of GF(p): `dp1cert check`
 on inputs whose discriminant has large coefficients or lives over a large
-prime field finishes in bounded time, and `rational_roots` / `sqrt` and the
+prime field finishes in bounded time, `rational_roots` / `sqrt` and the
 rest of the polynomial layer (`poly_gcd`, `squarefree_decomposition`,
-`resultant_q`) agree with sympy as an independent oracle."""
+`resultant_q`) agree with sympy as an independent oracle, and the GF(p)
+residue-list kernel agrees with the `UniPoly` arithmetic it replaces."""
 
 import io
 import json
+import math
 import random
 import signal
 from contextlib import contextmanager
@@ -15,8 +17,9 @@ import pytest
 
 from dp1cert.cli import main
 from dp1cert.exactalg import (
-    QQ, BiPoly, PrimeField, UniPoly, poly_gcd, rational_roots, resultant_q,
-    sqrt, squarefree_decomposition,
+    QQ, BiPoly, PrimeField, UniPoly, _zp_divmod, _zp_gcd, _zp_mul,
+    _zp_powmod, poly_gcd, rational_roots, resultant_q, sqrt,
+    squarefree_decomposition,
 )
 
 MERSENNE61 = 2 ** 61 - 1
@@ -157,10 +160,12 @@ def test_sqrt_gfp_against_sympy(p):
             (min(expected) if expected else None)
 
 
-# gcd, squarefree decomposition and resultants over QQ and GF(101), on
+# gcd, squarefree decomposition and resultants over QQ and GF(101) (gcd and
+# squarefree decomposition also over a 14-bit and a 61-bit prime field), on
 # seeded inputs with planted common factors and multiplicities
 
 ORACLE_FIELDS = [None, 101]
+GCD_FIELDS = ORACLE_FIELDS + [10007, MERSENNE61]
 
 
 def field_of(p):
@@ -195,7 +200,7 @@ def reps(a):
     return [c.rep for c in a.coeffs]
 
 
-@pytest.mark.parametrize("p", ORACLE_FIELDS)
+@pytest.mark.parametrize("p", GCD_FIELDS)
 def test_poly_gcd_against_sympy(p):
     sympy = pytest.importorskip("sympy")
     rng = random.Random(f"gcd-{p}")
@@ -208,7 +213,7 @@ def test_poly_gcd_against_sympy(p):
         assert reps(poly_gcd(a, b)) == sympy_coeffs(expected, p)
 
 
-@pytest.mark.parametrize("p", ORACLE_FIELDS)
+@pytest.mark.parametrize("p", GCD_FIELDS)
 def test_squarefree_decomposition_against_sympy(p):
     pytest.importorskip("sympy")
     rng = random.Random(f"sqf-{p}")
@@ -275,3 +280,71 @@ def test_resultant_q_against_sylvester_determinant(p):
         assert reps(res) == expected
         if k % 4 == 0:
             assert res.is_zero()
+
+
+# the GF(p) residue-list kernel: plain ints in [0, p), lowest degree first
+
+KERNEL_PRIMES = [5, 10007, MERSENNE61]
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_poly_gcd_gfp_edge_cases(p):
+    K = PrimeField(p)
+    zero, one = UniPoly(K, []), UniPoly(K, [1])
+    a = UniPoly(K, [3, -2, 0, 7])
+    assert poly_gcd(zero, a) == a.monic() and poly_gcd(a, zero) == a.monic()
+    assert poly_gcd(zero, zero) == zero
+    assert _zp_gcd(reps(a), [], p) == reps(a.monic())
+    assert poly_gcd(UniPoly(K, [4]), a) == one
+    assert poly_gcd(a, UniPoly(K, [4])) == one
+    # (t - 1)(t - 2) and (t - 3)(t + 1) share no root in any GF(p), p >= 5
+    b = UniPoly(K, [-1, 1]) * UniPoly(K, [-2, 1])
+    c = UniPoly(K, [-3, 1]) * UniPoly(K, [1, 1])
+    assert poly_gcd(b, c) == one and poly_gcd(c, b) == one
+    assert poly_gcd(a, a) == a.monic()
+    assert poly_gcd(a, a * 3) == a.monic()
+    assert poly_gcd(b * c, c * c) == c
+
+
+def random_residues(rng, p, degree, monic=False):
+    """A residue list of exactly the given degree."""
+    lead = 1 if monic else rng.randrange(1, p)
+    return [rng.randrange(p) for _ in range(degree)] + [lead]
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_residue_kernel_matches_unipoly(p):
+    rng = random.Random(f"zp-{p}")
+    K = PrimeField(p)
+    for _ in range(40):
+        a = random_residues(rng, p, rng.randint(0, 14)) if rng.random() < 0.9 \
+            else []
+        b = random_residues(rng, p, rng.randint(0, 6))
+        m = random_residues(rng, p, rng.randint(1, 8), monic=True)
+        A, B, M = UniPoly(K, a), UniPoly(K, b), UniPoly(K, m)
+        assert _zp_mul(a, b, p) == reps(A * B)
+        q, r = _zp_divmod(a, m, p)
+        Q, R = divmod(A, M)
+        assert (q, r) == (reps(Q), reps(R))
+        base = random_residues(rng, p, rng.randint(0, 3))
+        n = rng.randrange(40)
+        assert _zp_powmod(base, n, m, p) == \
+            reps((UniPoly(K, base) ** n) % M)
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_powmod_large_exponent_at_planted_roots(p):
+    # modulo m = prod (t - c_i) with distinct c_i, base^n mod m is the one
+    # polynomial of degree < deg m taking the value base(c_i)^n at each c_i
+    rng = random.Random(f"zp-pow-{p}")
+    K = PrimeField(p)
+    for _ in range(20):
+        cs = rng.sample(range(p), rng.randint(1, min(p, 8)))
+        m = reps(math.prod((UniPoly(K, [-c, 1]) for c in cs),
+                           start=UniPoly(K, [1])))
+        base = random_residues(rng, p, rng.randint(0, 4))
+        n = rng.choice([p, (p - 1) // 2, rng.randrange(2 ** 80)])
+        r = UniPoly(K, _zp_powmod(base, n, m, p))
+        assert r.degree() < len(cs)
+        for c in cs:
+            assert r(K(c)).rep == pow(UniPoly(K, base)(K(c)).rep, n, p)
