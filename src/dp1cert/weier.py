@@ -15,7 +15,8 @@ import warnings
 from dataclasses import dataclass
 
 from .exactalg import (
-    QQ, ExactAlgError, FieldElement, RationalField, UnsupportedField,
+    DEFAULT_BIT_BUDGET, QQ, ExactAlgError, FieldElement, OverHeightBudget,
+    RationalField, UnsupportedField, check_budget,
 )
 
 
@@ -136,24 +137,60 @@ def validate_point(E: WeierCurve, P: CurvePoint):
         raise ExactAlgError(f"{P} not on the smooth locus of {E}")
 
 
+def _chord(E: WeierCurve, P: CurvePoint, R: CurvePoint):
+    """(slope, x) of the chord-tangent sum of affine P and R, or None when
+    P + R = O."""
+    if P.x == R.x:
+        if P.y == -R.y:
+            return None
+        lam = (3 * P.x ** 2 + E.A) / (2 * P.y)
+    else:
+        lam = (R.y - P.y) / (R.x - P.x)
+    return lam, lam ** 2 - P.x - R.x
+
+
+def _third_point(E: WeierCurve, P: CurvePoint, lam, x3) -> CurvePoint:
+    """The sum with slope lam and x-coordinate x3 through P."""
+    out = CurvePoint(x3, lam * (P.x - x3) - P.y)
+    if E.is_singular_point(out):
+        raise HitsSingularPoint(f"sum lands on the singular point of {E}")
+    return out
+
+
 def add(E: WeierCurve, P: CurvePoint, R: CurvePoint) -> CurvePoint:
     """Chord-tangent sum on the smooth locus."""
     if P.is_identity:
         return R
     if R.is_identity:
         return P
-    if P.x == R.x:
-        if P.y == -R.y:
-            return CurvePoint.identity()
-        lam = (3 * P.x ** 2 + E.A) / (2 * P.y)
-    else:
-        lam = (R.y - P.y) / (R.x - P.x)
-    x3 = lam ** 2 - P.x - R.x
-    y3 = lam * (P.x - x3) - P.y
-    out = CurvePoint(x3, y3)
-    if E.is_singular_point(out):
-        raise HitsSingularPoint(f"sum lands on the singular point of {E}")
-    return out
+    chord = _chord(E, P, R)
+    if chord is None:
+        return CurvePoint.identity()
+    return _third_point(E, P, *chord)
+
+
+def walk_multiples(E: WeierCurve, P: CurvePoint, n: int,
+                   budget: int = DEFAULT_BIT_BUDGET):
+    """Yield P, 2P, ..., nP, stopping before O, the singular point or the
+    first multiple with a coordinate over budget bits. x is checked before
+    y is computed, so an over-budget x costs no y."""
+    if P.is_identity:
+        return
+    acc = P
+    try:
+        for k in range(n):
+            if k:
+                chord = _chord(E, acc, P)
+                if chord is None:
+                    return
+                check_budget(chord[1], budget)
+                acc = _third_point(E, acc, *chord)
+            else:
+                check_budget(P.x, budget)
+            check_budget(acc.y, budget)
+            yield acc
+    except (OverHeightBudget, HitsSingularPoint):
+        return
 
 
 def mul(E: WeierCurve, n: int, P: CurvePoint) -> CurvePoint:
