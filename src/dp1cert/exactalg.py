@@ -176,7 +176,7 @@ class FieldElement:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        return _power(self, n, self.field.one)
+        return FieldElement(self.field, self.field._pow(self.rep, n))
 
     def __bool__(self):
         return not self.field._is_zero(self.rep)
@@ -233,6 +233,10 @@ class Field:
     def _neg(self, a):
         return -a
 
+    def _pow(self, a, n):
+        """a ** n for n >= 0 on representatives."""
+        return _power(FieldElement(self, a), n, self.one).rep
+
     def _to_str(self, a):
         return str(a)
 
@@ -264,6 +268,10 @@ class RationalField(Field):
 
     def _mul(self, a, b):
         return a * b
+
+    def _pow(self, a, n):
+        # numerator and denominator stay coprime: no gcd, unlike squaring
+        return a ** n
 
     def _inv(self, a):
         return 1 / a
@@ -314,6 +322,9 @@ class PrimeField(Field):
 
     def _mul(self, a, b):
         return a * b % self.p
+
+    def _pow(self, a, n):
+        return pow(a, n, self.p)
 
     def _inv(self, a):
         return pow(a, -1, self.p)
@@ -485,6 +496,24 @@ def sqrt(a: FieldElement):
 # univariate polynomials
 # ---------------------------------------------------------------------------
 
+def _horner_qq(coeffs, z: Fraction, w: Fraction) -> tuple:
+    """sum_i e_i z^i w^(d-i) over QQ, d = len(coeffs) - 1 >= 0, as an
+    unreduced integer pair (N, D), D > 0, with no gcd: z = a/c and w = b/c
+    over c = den(z) den(w), the coefficients e_i = E_i/L over L = lcm of
+    their denominators, then one homogeneous Horner pass
+    N = sum E_i a^i b^(d-i) and D = L c^d."""
+    L = math.lcm(*(e.rep.denominator for e in coeffs))
+    a, b = z.numerator * w.denominator, w.numerator * z.denominator
+    c = z.denominator * w.denominator
+    acc, bp = 0, 1
+    for e in reversed(coeffs):
+        acc *= a
+        if e:
+            acc += e.rep.numerator * (L // e.rep.denominator) * bp
+        bp *= b
+    return acc, L * c ** (len(coeffs) - 1)
+
+
 class UniPoly:
     """Dense univariate polynomial over a Field; immutable."""
 
@@ -603,6 +632,8 @@ class UniPoly:
     def __call__(self, x):
         K = x.field if isinstance(x, FieldElement) else self.field
         x = K(x)   # the point may lie in an extension of self.field
+        if self.coeffs and K == self.field and isinstance(K, RationalField):
+            return K(Fraction(*_horner_qq(self.coeffs, x.rep, Fraction(1))))
         acc = K.zero
         for c in reversed(self.coeffs):
             acc = acc * x + K(c)
@@ -997,19 +1028,8 @@ class BinaryForm:
 
     def eval_qq(self, z: Fraction, w: Fraction) -> tuple:
         """The value at (z : w) over QQ as an unreduced integer pair (N, D),
-        D > 0, with no gcd: z = a/c and w = b/c over c = den(z) den(w), the
-        coefficients e_i = E_i/L over L = lcm of their denominators, then one
-        homogeneous Horner pass N = sum E_i a^i b^(d-i) and D = L c^d."""
-        L = math.lcm(*(e.rep.denominator for e in self.coeffs))
-        a, b = z.numerator * w.denominator, w.numerator * z.denominator
-        c = z.denominator * w.denominator
-        acc, bp = 0, 1
-        for e in reversed(self.coeffs):
-            acc *= a
-            if e:
-                acc += e.rep.numerator * (L // e.rep.denominator) * bp
-            bp *= b
-        return acc, L * c ** self.d
+        D > 0, with no gcd (see _horner_qq)."""
+        return _horner_qq(self.coeffs, z, w)
 
     def chart_w(self, var: str = "t") -> UniPoly:
         """Dehomogenize at w=1: coefficient of t^i is e_i."""

@@ -173,7 +173,9 @@ def walk_multiples(E: WeierCurve, P: CurvePoint, n: int,
                    budget: int = DEFAULT_BIT_BUDGET):
     """Yield P, 2P, ..., nP, stopping before O, the singular point or the
     first multiple with a coordinate over budget bits. x is checked before
-    y is computed, so an over-budget x costs no y."""
+    y is computed, so an over-budget x costs no y. Each y is taken through
+    the fixed small P, which lies on the chord with acc and -(acc + P), so
+    no difference of two large coordinates is formed."""
     if P.is_identity:
         return
     acc = P
@@ -184,7 +186,7 @@ def walk_multiples(E: WeierCurve, P: CurvePoint, n: int,
                 if chord is None:
                     return
                 check_budget(chord[1], budget)
-                acc = _third_point(E, acc, *chord)
+                acc = _third_point(E, P, *chord)
             else:
                 check_budget(P.x, budget)
             check_budget(acc.y, budget)

@@ -1,16 +1,22 @@
-"""The integer paths over QQ: `BinaryForm` evaluation, `Dp1Surface.contains`
-and the lazy classification of `WeierCurve`, each checked against an
-independent `Fraction` oracle written here on seeded inputs; the GF(p)
-paths are checked against plain integer arithmetic mod p."""
+"""The integer paths over QQ: field element powers, `UniPoly` and
+`BinaryForm` evaluation, `Dp1Surface.contains` and the lazy classification
+of `WeierCurve`, each checked against an independent `Fraction` oracle
+written here on seeded inputs; the GF(p) paths are checked against plain
+integer arithmetic mod p."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from dp1cert.certify import search_surface_points
 from dp1cert.dp1 import Dp1Surface, WeightedPoint, is_smooth
-from dp1cert.exactalg import QQ, BinaryForm, ExactAlgError, PrimeField
+from dp1cert.exactalg import (
+    QQ, BinaryForm, DivisionByZero, ExactAlgError, PrimeField, QuotientExt,
+    UniPoly,
+)
 from dp1cert.weier import CurvePoint, HitsSingularPoint, WeierCurve, add, mul
 
 
@@ -37,6 +43,135 @@ def random_coeffs(rng, d):
     return [Fraction(0) if rng.random() < 0.2
             else Fraction(rng.randint(-50, 50), rng.randint(1, 12))
             for _ in range(d + 1)]
+
+
+def repeated_power(b, n, one):
+    """b ** n by repeated plain multiplication, of 1/b when n < 0."""
+    if n < 0:
+        b, n = one / b, -n
+    out = one
+    for _ in range(n):
+        out = out * b
+    return out
+
+
+# ---------------------------------------------------------------------------
+# powers
+# ---------------------------------------------------------------------------
+
+def test_power_over_qq_matches_repeated_multiplication():
+    rng = random.Random(9100)
+    bases = [random_fraction(rng, bits) for bits in (3, 40, 300)
+             for _ in range(4)] + [Fraction(1), Fraction(-1), Fraction(1, 2)]
+    for b in bases:
+        for n in range(-3, 13):
+            if b == 0 and n < 0:
+                continue
+            r = (QQ(b) ** n).rep
+            expect = repeated_power(b, n, Fraction(1))
+            assert r == expect
+            # the representative is reduced with a positive denominator
+            assert r.denominator > 0
+            assert math.gcd(r.numerator, r.denominator) == 1
+
+
+@pytest.mark.parametrize("p", [5, 101, 10007])
+def test_power_over_prime_field_matches_repeated_multiplication(p):
+    rng = random.Random(p)
+    K = PrimeField(p)
+    for b in [rng.randrange(1, p) for _ in range(6)] + [1, p - 1]:
+        inv = pow(b, -1, p)
+        for n in range(-3, 13):
+            expect = 1
+            for _ in range(abs(n)):
+                expect = expect * (b if n >= 0 else inv) % p
+            assert (K(b) ** n).rep == expect
+
+
+def test_power_of_zero():
+    for K in (QQ, PrimeField(101)):
+        assert K.zero ** 0 == K.one
+        assert K.zero ** 5 == K.zero
+        for n in (-1, -3):
+            with pytest.raises(DivisionByZero):
+                K.zero ** n
+
+
+def test_power_in_quotient_extension_is_unchanged():
+    # QQ[a]/(a^3 - 2a + 5) keeps the generic square-and-multiply
+    rng = random.Random(9101)
+    K = QuotientExt(UniPoly(QQ, [5, -2, 0, 1], "a"))
+    for _ in range(4):
+        el = K(UniPoly(QQ, random_coeffs(rng, 2), "a"))
+        if not el:
+            continue
+        for n in range(-3, 13):
+            assert el ** n == repeated_power(el, n, K.one)
+    assert K.zero ** 0 == K.one
+
+
+# ---------------------------------------------------------------------------
+# univariate polynomial values
+# ---------------------------------------------------------------------------
+
+def horner(coeffs, x):
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def test_unipoly_over_qq_matches_fraction_and_sympy_oracles():
+    rng = random.Random(9102)
+    t = sympy.Symbol("t")
+    for d in range(9):
+        for _ in range(6):
+            coeffs = random_coeffs(rng, d)
+            f = UniPoly(QQ, coeffs)
+            sym = sympy.Poly(list(reversed([sympy.Rational(c.numerator,
+                                                           c.denominator)
+                                            for c in coeffs])), t)
+            for x in (Fraction(0), Fraction(rng.randint(-9, 9)),
+                      random_fraction(rng, 30), random_fraction(rng, 2000)):
+                value = f(QQ(x))
+                assert value.field == QQ
+                assert value.rep == horner(coeffs, x)
+                s = sym.eval(sympy.Rational(x.numerator, x.denominator))
+                assert value.rep == Fraction(int(s.p), int(s.q))
+                # plain scalars are coerced into QQ
+                if x.denominator == 1:
+                    assert f(int(x)) == value
+                assert f(x) == value
+
+
+def test_unipoly_over_qq_zero_polynomial():
+    zero = UniPoly(QQ, [])
+    assert zero(QQ(Fraction(3, 7))) == QQ.zero
+    assert zero(0) == QQ.zero
+    assert UniPoly(QQ, [Fraction(-5, 3)])(QQ(10 ** 40)) == QQ(Fraction(-5, 3))
+
+
+def test_unipoly_over_qq_at_a_point_of_an_extension():
+    # a point of QQ[a]/(a^2 - 2) keeps the generic loop: the value is the
+    # remainder of f modulo the minimal polynomial
+    rng = random.Random(9103)
+    m = UniPoly(QQ, [-2, 0, 1], "t")
+    K = QuotientExt(m)
+    a = K.generator()
+    for d in range(9):
+        coeffs = random_coeffs(rng, d)
+        f = UniPoly(QQ, coeffs, "t")
+        assert f(a) == K(f % m)
+        b = a + Fraction(1, 3)
+        assert f(b) == K(f.compose(UniPoly(QQ, [Fraction(1, 3), 1], "t"))
+                         % m)
+
+
+def test_unipoly_over_prime_field_rejects_a_rational_point():
+    f = UniPoly(PrimeField(101), [1, 2, 3])
+    with pytest.raises(ExactAlgError):
+        f(QQ(Fraction(1, 2)))
+    assert f(PrimeField(101)(5)) == PrimeField(101)(86)
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,9 @@ from dp1cert import certify, instances, weier
 from dp1cert.certify import (
     RunParams, certificate_to_json, density_evidence, nodal_density,
 )
-from dp1cert.cq5 import build
+from dp1cert.cq5 import MinusOneCurve, build, sigma
 from dp1cert.dp1 import Dp1Surface
-from dp1cert.exactalg import QQ
+from dp1cert.exactalg import DEFAULT_BIT_BUDGET, QQ
 from dp1cert.genus1 import generate_points, infinitude_certificate
 from dp1cert.weier import CurvePoint, WeierCurve, walk_multiples
 
@@ -158,16 +158,37 @@ def test_walk_checks_x_before_computing_y(checked):
     assert exits == {"x", "y"}
 
 
-# ---------------------------------------------------------------------------
-# density evidence and the doubling rounds
-# ---------------------------------------------------------------------------
-
 def _fixture_curve_points(n):
     S, Q = instances.nodal_fixture()
     data = build(S, Q)
     cert = infinitude_certificate(data, height=8)
     return S, data, cert, generate_points(data, cert, n)
 
+
+def test_walk_of_sigma_images_matches_fraction_oracle():
+    # real fibers of the nodal fixture under the default budget, where the
+    # coordinates of the multiples grow to tens of thousands of bits
+    S, data, _, pts = _fixture_curve_points(8)
+    walks = 0
+    largest = 0
+    for p, q in pts:
+        try:
+            R = sigma(data, p, q)
+        except MinusOneCurve:
+            continue
+        E = S.fiber(R.z, R.w)
+        got = walked(E, R.x.rep, R.y.rep, 8, DEFAULT_BIT_BUDGET)
+        assert got == oracle_multiples(E.A.rep, E.B.rep, R.x.rep, R.y.rep,
+                                       8, DEFAULT_BIT_BUDGET)
+        walks += 1
+        largest = max([largest] + [bits(c) for pt in got for c in pt])
+    assert walks >= 6
+    assert largest > 20000
+
+
+# ---------------------------------------------------------------------------
+# density evidence and the doubling rounds
+# ---------------------------------------------------------------------------
 
 def test_density_evidence_treats_curve_points_one_by_one():
     S, data, _, pts = _fixture_curve_points(8)
