@@ -237,6 +237,19 @@ class Field:
         """a ** n for n >= 0 on representatives."""
         return _power(FieldElement(self, a), n, self.one).rep
 
+    # Polynomial coefficients as numbers: _to_ints gives (ints, den) with
+    # coefficient i equal to ints[i] / den, and _from_ints turns such a list
+    # back into canonical representatives. Polynomial products, division
+    # and derivatives run on ints with +, - and * only. QQ uses integers
+    # over one common denominator, GF(p) residues over 1; any other field
+    # keeps its elements as the "ints" over 1, so its polynomials run the
+    # element loop.
+    def _to_ints(self, coeffs):
+        return list(coeffs), 1
+
+    def _from_ints(self, ints, den):
+        return [self(c).rep for c in ints]
+
     def _to_str(self, a):
         return str(a)
 
@@ -272,6 +285,15 @@ class RationalField(Field):
     def _pow(self, a, n):
         # numerator and denominator stay coprime: no gcd, unlike squaring
         return a ** n
+
+    def _to_ints(self, coeffs):
+        den = math.lcm(*(c.rep.denominator for c in coeffs))
+        return [c.rep.numerator * (den // c.rep.denominator)
+                for c in coeffs], den
+
+    def _from_ints(self, ints, den):
+        # one gcd per coefficient, the only reduction the result needs
+        return [Fraction(c, den) for c in ints]
 
     def _inv(self, a):
         return 1 / a
@@ -325,6 +347,13 @@ class PrimeField(Field):
 
     def _pow(self, a, n):
         return pow(a, n, self.p)
+
+    def _to_ints(self, coeffs):
+        return [c.rep for c in coeffs], 1
+
+    def _from_ints(self, ints, den):
+        # den is 1: residue lists are over 1, and so are their products
+        return [c % self.p for c in ints]
 
     def _inv(self, a):
         return pow(a, -1, self.p)
@@ -496,22 +525,27 @@ def sqrt(a: FieldElement):
 # univariate polynomials
 # ---------------------------------------------------------------------------
 
+def _horner(ints: list, a: int, b: int) -> int:
+    """sum_i ints[i] a^i b^(d-i), d = len(ints) - 1, by one homogeneous
+    Horner pass."""
+    acc, bp = 0, 1
+    for e in reversed(ints):
+        acc *= a
+        if e:
+            acc += e * bp
+        bp *= b
+    return acc
+
+
 def _horner_qq(coeffs, z: Fraction, w: Fraction) -> tuple:
     """sum_i e_i z^i w^(d-i) over QQ, d = len(coeffs) - 1 >= 0, as an
     unreduced integer pair (N, D), D > 0, with no gcd: z = a/c and w = b/c
     over c = den(z) den(w), the coefficients e_i = E_i/L over L = lcm of
-    their denominators, then one homogeneous Horner pass
-    N = sum E_i a^i b^(d-i) and D = L c^d."""
-    L = math.lcm(*(e.rep.denominator for e in coeffs))
+    their denominators, then N = sum E_i a^i b^(d-i) and D = L c^d."""
+    ints, L = QQ._to_ints(coeffs)
     a, b = z.numerator * w.denominator, w.numerator * z.denominator
     c = z.denominator * w.denominator
-    acc, bp = 0, 1
-    for e in reversed(coeffs):
-        acc *= a
-        if e:
-            acc += e.rep.numerator * (L // e.rep.denominator) * bp
-        bp *= b
-    return acc, L * c ** (len(coeffs) - 1)
+    return _horner(ints, a, b), L * c ** (len(coeffs) - 1)
 
 
 class UniPoly:
@@ -549,38 +583,51 @@ class UniPoly:
             return other
         return UniPoly(self.field, [other], self.var)
 
+    @classmethod
+    def _of(cls, field: Field, reps: list, var: str) -> "UniPoly":
+        """The polynomial with these canonical representatives of field as
+        coefficients, trailing zeros stripped; no coercion."""
+        while reps and field._is_zero(reps[-1]):
+            reps.pop()
+        out = object.__new__(cls)
+        out.field, out.var = field, var
+        out.coeffs = tuple([FieldElement(field, r) for r in reps])
+        return out
+
     # -- arithmetic ----------------------------------------------------------
+    def _plus(self, other, sign: int):
+        K = self.field
+        a = [c.rep for c in self.coeffs]
+        b = [c.rep if sign > 0 else K._neg(c.rep)
+             for c in self._same(other).coeffs]
+        n = min(len(a), len(b))
+        return UniPoly._of(K, [K._add(x, y) for x, y in zip(a, b)]
+                           + a[n:] + b[n:], self.var)
+
     def __add__(self, other):
-        o = self._same(other)
-        n = max(len(self.coeffs), len(o.coeffs))
-        return UniPoly(self.field,
-                       [self.coeff(i) + o.coeff(i) for i in range(n)], self.var)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return UniPoly(self.field, [-c for c in self.coeffs], self.var)
+        K = self.field
+        return UniPoly._of(K, [K._neg(c.rep) for c in self.coeffs], self.var)
 
     def __sub__(self, other):
-        return self + (-self._same(other))
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return self._same(other) - self
 
     def __mul__(self, other):
+        K = self.field
         if isinstance(other, (FieldElement, int)):
-            k = self.field(other)
-            return UniPoly(self.field, [c * k for c in self.coeffs], self.var)
-        o = self._same(other)
-        if self.is_zero() or o.is_zero():
-            return UniPoly(self.field, [], self.var)
-        out = [self.field.zero] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(o.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return UniPoly(self.field, out, self.var)
+            k = K(other).rep
+            return UniPoly._of(K, [K._mul(c.rep, k) for c in self.coeffs],
+                               self.var)
+        (A, da), (B, db) = (K._to_ints(self.coeffs),
+                            K._to_ints(self._same(other).coeffs))
+        return UniPoly._of(K, K._from_ints(_int_mul(A, B), da * db), self.var)
 
     __rmul__ = __mul__
 
@@ -591,20 +638,30 @@ class UniPoly:
         o = self._same(other)
         if o.is_zero():
             raise DivisionByZero("polynomial division by zero")
-        inv_lc = o.lead().inverse()
-        rem = list(self.coeffs)
-        dq = len(rem) - len(o.coeffs)
-        if dq < 0:
-            return UniPoly(self.field, [], self.var), self
-        quo = [self.field.zero] * (dq + 1)
-        for k in range(dq, -1, -1):
-            c = rem[k + o.degree()] * inv_lc
-            quo[k] = c
-            if c:
-                for j, b in enumerate(o.coeffs):
-                    rem[k + j] = rem[k + j] - c * b
-        return (UniPoly(self.field, quo, self.var),
-                UniPoly(self.field, rem[:o.degree()], self.var))
+        K, var = self.field, self.var
+        if len(self.coeffs) < len(o.coeffs):
+            return UniPoly._of(K, [], var), self
+        (A, da), (B, db) = K._to_ints(self.coeffs), K._to_ints(o.coeffs)
+        if isinstance(K, PrimeField):
+            inv = pow(B[-1], -1, K.p)
+            Q, R = _zp_divmod(A, [y * inv % K.p for y in B], K.p)
+            Q, den = [x * inv for x in Q], 1
+        elif isinstance(K, RationalField):
+            # s A = Q B + R, so a = (Q db / (s da)) b + R / (s da)
+            Q, R, s = _int_pdivmod(A, B)
+            Q, den = [x * db for x in Q], s * da
+        else:
+            # the element loop: A and B are the coefficients, over 1
+            inv, n = B[-1].inverse(), len(B) - 1
+            Q, R, den = [K.zero] * (len(A) - n), A, 1
+            for k in range(len(Q) - 1, -1, -1):
+                c = Q[k] = R[k + n] * inv
+                if c:
+                    for j, y in enumerate(B):
+                        R[k + j] = R[k + j] - c * y
+            R = R[:n]
+        return (UniPoly._of(K, K._from_ints(Q, den), var),
+                UniPoly._of(K, K._from_ints(R, den), var))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -625,15 +682,20 @@ class UniPoly:
         return self * self.lead().inverse()
 
     def derivative(self) -> "UniPoly":
-        return UniPoly(self.field,
-                       [self.coeffs[i] * i for i in range(1, len(self.coeffs))],
-                       self.var)
+        K = self.field
+        A, da = K._to_ints(self.coeffs)
+        return UniPoly._of(K, K._from_ints([i * A[i] for i in range(1, len(A))],
+                                           da), self.var)
 
     def __call__(self, x):
         K = x.field if isinstance(x, FieldElement) else self.field
         x = K(x)   # the point may lie in an extension of self.field
-        if self.coeffs and K == self.field and isinstance(K, RationalField):
-            return K(Fraction(*_horner_qq(self.coeffs, x.rep, Fraction(1))))
+        if self.coeffs and K == self.field:
+            if isinstance(K, RationalField):
+                return K(Fraction(*_horner_qq(self.coeffs, x.rep, Fraction(1))))
+            if isinstance(K, PrimeField):
+                return FieldElement(K, _horner(K._to_ints(self.coeffs)[0],
+                                               x.rep, 1) % K.p)
         acc = K.zero
         for c in reversed(self.coeffs):
             acc = acc * x + K(c)
@@ -702,9 +764,30 @@ def _primitive(ints: list) -> list:
 
 
 def _qq_poly_to_int_list(a: UniPoly):
-    den = math.lcm(*(c.rep.denominator for c in a.coeffs))
-    return _primitive([c.rep.numerator * (den // c.rep.denominator)
-                       for c in a.coeffs])
+    return _primitive(a.field._to_ints(a.coeffs)[0])
+
+
+def _int_pdivmod(a: list, b: list) -> tuple:
+    """(q, r, s) with s a = q b + r and deg r < deg b, for integer lists a
+    and b (b without trailing zero). Each step scales by lc(b) / gcd(lc(b),
+    top), so a divisor with lc(b) = 1 never scales."""
+    lb, db = b[-1], len(b) - 1
+    r, s = list(a), 1
+    q = [0] * (len(r) - db)
+    for k in range(len(q) - 1, -1, -1):
+        t = r[k + db]
+        if not t:
+            continue
+        g = math.gcd(t, lb)
+        m = lb // g
+        if m != 1:
+            s *= m
+            q = [x * m for x in q]
+            r = [x * m for x in r[:k + db]]
+        c = q[k] = t // g
+        for j in range(db):
+            r[k + j] -= c * b[j]
+    return q, r[:db], s
 
 
 def _int_prem(a: list, b: list) -> list:
@@ -726,6 +809,18 @@ def _int_prem(a: list, b: list) -> list:
     return _primitive(a)
 
 
+def _int_mul(a: list, b: list) -> list:
+    """Product of coefficient lists, accumulated unreduced."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
 # Residue lists: a polynomial over GF(p) as plain ints in [0, p), lowest
 # degree first, without trailing zeros (the zero polynomial is []). Products
 # accumulate unreduced and are reduced once per coefficient.
@@ -739,14 +834,7 @@ def _zp(cs, p) -> list:
 
 
 def _zp_mul(a: list, b: list, p) -> list:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                out[j] += x * y
-    return _zp(out, p)
+    return _zp(_int_mul(a, b), p)
 
 
 def _zp_monic(a: list, p) -> list:
@@ -1003,8 +1091,8 @@ class BinaryForm:
         if isinstance(other, BinaryForm):
             return BinaryForm.from_unipoly(self.chart_w() * other.chart_w(),
                                            self.d + other.d)
-        k = self.field(other)
-        return BinaryForm(self.field, self.d, [c * k for c in self.coeffs])
+        return BinaryForm.from_unipoly(self.chart_w() * self.field(other),
+                                       self.d)
 
     __rmul__ = __mul__
 
@@ -1012,12 +1100,16 @@ class BinaryForm:
         return _power(self, n, BinaryForm(self.field, 0, [1]))
 
     def __call__(self, z0, w0) -> FieldElement:
-        z0, w0 = self.field(z0), self.field(w0)
-        if isinstance(self.field, RationalField):
-            return self.field(Fraction(*self.eval_qq(z0.rep, w0.rep)))
-        acc = self.field.zero
-        zp = self.field.one
-        wps = [self.field.one]
+        K = self.field
+        z0, w0 = K(z0), K(w0)
+        if isinstance(K, RationalField):
+            return K(Fraction(*self.eval_qq(z0.rep, w0.rep)))
+        if isinstance(K, PrimeField):
+            return FieldElement(K, _horner(K._to_ints(self.coeffs)[0],
+                                           z0.rep, w0.rep) % K.p)
+        acc = K.zero
+        zp = K.one
+        wps = [K.one]
         for _ in range(self.d):
             wps.append(wps[-1] * w0)
         for i, c in enumerate(self.coeffs):
@@ -1033,11 +1125,12 @@ class BinaryForm:
 
     def chart_w(self, var: str = "t") -> UniPoly:
         """Dehomogenize at w=1: coefficient of t^i is e_i."""
-        return UniPoly(self.field, list(self.coeffs), var)
+        return UniPoly._of(self.field, [c.rep for c in self.coeffs], var)
 
     def chart_z(self, var: str = "u") -> UniPoly:
         """Dehomogenize at z=1: coefficient of u^j is e_(d-j)."""
-        return UniPoly(self.field, list(reversed(self.coeffs)), var)
+        return UniPoly._of(self.field, [c.rep for c in reversed(self.coeffs)],
+                           var)
 
     @classmethod
     def from_unipoly(cls, poly: UniPoly, degree: int) -> "BinaryForm":
@@ -1120,20 +1213,46 @@ class BiPoly:
     def deg_q(self) -> int:
         return max((j for _, j in self.terms), default=-1)
 
-    def __add__(self, other):
+    def _ints(self):
+        """The coefficients as the field's (ints, den), in term order."""
+        return self.field._to_ints(self.terms.values())
+
+    @classmethod
+    def _of(cls, field: Field, terms: dict) -> "BiPoly":
+        """The polynomial with monomial -> canonical representative; zeros
+        dropped, no coercion."""
+        out = object.__new__(cls)
+        out.field = field
+        out.terms = {k: FieldElement(field, r) for k, r in terms.items()
+                     if not field._is_zero(r)}
+        return out
+
+    @classmethod
+    def _of_ints(cls, field: Field, terms: dict, den) -> "BiPoly":
+        """The polynomial with monomial -> field ints over den."""
+        return cls._of(field, dict(zip(terms, field._from_ints(
+            terms.values(), den))))
+
+    def _plus(self, other, sign: int):
+        K = self.field
         o = self._same(other)
-        out = dict(self.terms)
-        for k, v in o.terms.items():
-            out[k] = out.get(k, self.field.zero) + v
-        return BiPoly(self.field, out)
+        out = {k: c.rep for k, c in self.terms.items()}
+        for k, c in o.terms.items():
+            y = c.rep if sign > 0 else K._neg(c.rep)
+            out[k] = K._add(out[k], y) if k in out else y
+        return BiPoly._of(K, out)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return BiPoly(self.field, {k: -v for k, v in self.terms.items()})
+        K = self.field
+        return BiPoly._of(K, {k: K._neg(c.rep) for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-self._same(other))
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return self._same(other) - self
@@ -1146,17 +1265,19 @@ class BiPoly:
         return BiPoly.const(self.field(other))
 
     def __mul__(self, other):
+        K = self.field
         if isinstance(other, (FieldElement, int)):
-            k = self.field(other)
-            return BiPoly(self.field, {m: v * k for m, v in self.terms.items()})
+            k = K(other).rep
+            return BiPoly._of(K, {m: K._mul(c.rep, k)
+                                  for m, c in self.terms.items()})
         o = self._same(other)
+        (A, da), (B, db) = self._ints(), o._ints()
         out = {}
-        for (i1, j1), a in self.terms.items():
-            for (i2, j2), b in o.terms.items():
+        for (i1, j1), x in zip(self.terms, A):
+            for (i2, j2), y in zip(o.terms, B):
                 key = (i1 + i2, j1 + j2)
-                cur = out.get(key)
-                out[key] = a * b if cur is None else cur + a * b
-        return BiPoly(self.field, out)
+                out[key] = out[key] + x * y if key in out else x * y
+        return BiPoly._of_ints(K, out, da * db)
 
     __rmul__ = __mul__
 
@@ -1166,6 +1287,17 @@ class BiPoly:
     def __call__(self, pv, qv) -> FieldElement:
         K = pv.field if isinstance(pv, FieldElement) else self.field
         pv, qv = K(pv), K(qv)   # the point may lie in an extension of self.field
+        if (self.terms and K == self.field
+                and isinstance(K, (RationalField, PrimeField))):
+            # p = a/b and q = c/d (b = d = 1 over GF(p)), cleared by b^m d^n
+            ints, den = self._ints()
+            m, n = self.deg_p(), self.deg_q()
+            a, b = pv.rep.numerator, pv.rep.denominator
+            c, d = qv.rep.numerator, qv.rep.denominator
+            pp = [a ** i * b ** (m - i) for i in range(m + 1)]
+            qp = [c ** j * d ** (n - j) for j in range(n + 1)]
+            acc = sum(x * pp[i] * qp[j] for (i, j), x in zip(self.terms, ints))
+            return FieldElement(K, K._from_ints([acc], den * b ** m * d ** n)[0])
         acc = K.zero
         ppow, qpow = {0: K.one}, {0: K.one}
         for (i, j), c in self.terms.items():
@@ -1200,12 +1332,14 @@ class BiPoly:
         return cls(field, terms)
 
     def d_p(self) -> "BiPoly":
-        return BiPoly(self.field, {(i - 1, j): c * i
-                                   for (i, j), c in self.terms.items() if i})
+        A, den = self._ints()
+        return BiPoly._of_ints(self.field, {(i - 1, j): i * x for (i, j), x
+                                            in zip(self.terms, A) if i}, den)
 
     def d_q(self) -> "BiPoly":
-        return BiPoly(self.field, {(i, j - 1): c * j
-                                   for (i, j), c in self.terms.items() if j})
+        A, den = self._ints()
+        return BiPoly._of_ints(self.field, {(i, j - 1): j * x for (i, j), x
+                                            in zip(self.terms, A) if j}, den)
 
     def __eq__(self, other):
         if isinstance(other, BiPoly):

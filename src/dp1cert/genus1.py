@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from .exactalg import (
-    DEFAULT_BIT_BUDGET, ExactAlgError, FieldElement, OverHeightBudget,
+    DEFAULT_BIT_BUDGET, QQ, ExactAlgError, FieldElement, OverHeightBudget,
     RationalField, UniPoly, UnsupportedField, check_budget, sqrt,
     square_split, squarefree_part,
 )
@@ -110,12 +110,28 @@ def branch_to_v_slope(model: QuarticModel, alpha) -> FieldElement:
 # point search
 # ---------------------------------------------------------------------------
 
-def _small_rationals(K, height: int):
-    """u/w in lowest terms with 1 <= w <= height and |u| <= height."""
+def _square_values(D: UniPoly, height: int):
+    """(p, v) with v >= 0 and v^2 = D(p) for every p = u/w in lowest terms
+    with 1 <= w <= height and |u| <= height, w outer and u inner. With
+    D = sum I_i p^i / L over integers and k = deg D rounded up to even,
+    L^2 w^k D(u/w) = L sum I_i u^i w^(k-i) is an integer, and D(u/w) is a
+    rational square exactly when it is an integer square."""
+    ints, L = D.field._to_ints(D.coeffs)
+    k = len(ints) - 1 + (len(ints) - 1) % 2
     for w in range(1, height + 1):
+        scaled = [L * c * w ** (k - i) for i, c in enumerate(ints)]
+        den = L * w ** (k // 2)
         for u in range(-height, height + 1):
-            if gcd(abs(u), w) == 1:
-                yield K(Fraction(u, w))
+            if gcd(u, w) != 1:
+                continue
+            val = 0
+            for c in reversed(scaled):
+                val = val * u + c
+            if val >= 0:
+                r = isqrt(val)
+                if r * r == val:
+                    yield (FieldElement(QQ, Fraction(u, w)),
+                           FieldElement(QQ, Fraction(r, den)))
 
 
 def search_points(model: QuarticModel, height: int) -> list:
@@ -126,10 +142,7 @@ def search_points(model: QuarticModel, height: int) -> list:
         raise UnsupportedField("point search needs QQ")
     out = [QuarticPoint("at_infinity", branch=a)
            for a in infinity_branches(model)]
-    for p in _small_rationals(K, height):
-        v = sqrt(model.D(p))
-        if v is None:
-            continue
+    for p, v in _square_values(model.D, height):
         out.append(QuarticPoint("affine", p=p, v=v))
         if v:
             out.append(QuarticPoint("affine", p=p, v=-v))
@@ -351,12 +364,11 @@ def _rational_quartic_certificate(model: QuarticModel, height: int):
             param=("linear", sq, red), model=model)
     if red.degree() == 2:
         # conic vbar^2 = red(p): needs one rational point
-        for p in _small_rationals(K, height):
-            r = sqrt(red(p))
-            if r is not None:
-                return InfinitudeCertificate(
-                    "rational_component", "line pencil through a conic point",
-                    param=("conic", sq, red, p, r), model=model)
+        point = next(_square_values(red, height), None)
+        if point is not None:
+            return InfinitudeCertificate(
+                "rational_component", "line pencil through a conic point",
+                param=("conic", sq, red, *point), model=model)
         # a rational point at infinity of the conic also works, but then the
         # leading coefficient is a square and affine points abound; skip
         return None

@@ -171,11 +171,13 @@ def add(E: WeierCurve, P: CurvePoint, R: CurvePoint) -> CurvePoint:
 
 def walk_multiples(E: WeierCurve, P: CurvePoint, n: int,
                    budget: int = DEFAULT_BIT_BUDGET):
-    """Yield P, 2P, ..., nP, stopping before O, the singular point or the
-    first multiple with a coordinate over budget bits. x is checked before
-    y is computed, so an over-budget x costs no y. Each y is taken through
-    the fixed small P, which lies on the chord with acc and -(acc + P), so
-    no difference of two large coordinates is formed."""
+    """Yield P, 2P, ..., nP, stopping before O or the first multiple with a
+    coordinate over budget bits. x is checked before y is computed, so an
+    over-budget x costs no y. Each y is taken through the fixed small P,
+    which lies on the chord with acc and -(acc + P), so no difference of
+    two large coordinates is formed. No multiple of a smooth P is singular:
+    the smooth points of E form a group. A singular P is yielded, and its
+    tangent gives O."""
     if P.is_identity:
         return
     acc = P
@@ -191,7 +193,7 @@ def walk_multiples(E: WeierCurve, P: CurvePoint, n: int,
                 check_budget(P.x, budget)
             check_budget(acc.y, budget)
             yield acc
-    except (OverHeightBudget, HitsSingularPoint):
+    except OverHeightBudget:
         return
 
 

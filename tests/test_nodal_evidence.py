@@ -23,7 +23,9 @@ from dp1cert.cq5 import MinusOneCurve, build, sigma
 from dp1cert.dp1 import Dp1Surface
 from dp1cert.exactalg import DEFAULT_BIT_BUDGET, QQ
 from dp1cert.genus1 import generate_points, infinitude_certificate
-from dp1cert.weier import CurvePoint, WeierCurve, walk_multiples
+from dp1cert.weier import (
+    CurvePoint, HitsSingularPoint, WeierCurve, walk_multiples,
+)
 
 
 def bits(q: Fraction) -> int:
@@ -125,13 +127,15 @@ def test_walk_stops_at_the_node():
         x, y = s * s - 2, s ** 3 - 3 * s           # nodal_param at d = 1
         assert walked(EN, x, y, 6, 10 ** 9) == \
             oracle_multiples(Fraction(-3), Fraction(2), x, y, 6, 10 ** 9)
-    # every kP lies on the curve through P with the same A, so a walk never
-    # lands on a node; the stop is driven by a curve whose cached
-    # classification declares the 2-torsion point 2P = (0, 0) singular
+    # every kP lies on the curve through P with the same A, so a walk from a
+    # smooth point never lands on a node and the walk has no stop for it: a
+    # curve whose cached classification wrongly declares the 2-torsion
+    # point 2P = (0, 0) singular makes the step raise, not end the walk
     E = WeierCurve(QQ(4), QQ(0))                 # (2, 4) has order 4
     assert walked(E, 2, 4, 8, 64) == [(2, 4), (0, 0), (2, -4)]
     E._classification = ("nodal", QQ(0))
-    assert walked(E, 2, 4, 8, 64) == [(2, 4)]
+    with pytest.raises(HitsSingularPoint):
+        walked(E, 2, 4, 8, 64)
 
 
 def test_walk_checks_x_before_computing_y(checked):
