@@ -253,7 +253,8 @@ class EvidenceReport:
 
 def density_evidence(S: Dp1Surface, data, points, multiples: int = 8,
                      budget: int = DEFAULT_BIT_BUDGET) -> EvidenceReport:
-    """sigma-images of curve points and their fiberwise multiples."""
+    """sigma-images of section-curve points (as generate_points returns
+    them) and their fiberwise multiples."""
     out = []
     fibers = set()
     skipped = 0

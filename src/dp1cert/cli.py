@@ -49,9 +49,9 @@ def parse_surface(doc: dict) -> Dp1Surface:
         f, g = doc["f"], doc["g"]
         if len(f) != 5 or len(g) != 7:
             raise ParseError("need 5 f-coefficients and 7 g-coefficients")
+        # BinaryForm coerces each coefficient once, by the exact text rules
         return Dp1Surface.from_coeff_lists(
-            field,
-            [field(str(c)) for c in f], [field(str(c)) for c in g])
+            field, [str(c) for c in f], [str(c) for c in g])
     except ParseError:
         raise
     except (KeyError, TypeError, ValueError, ExactAlgError) as exc:

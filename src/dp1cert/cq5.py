@@ -188,12 +188,11 @@ def build(S: Dp1Surface, Q: WeightedPoint) -> CQ5Data:
 # ---------------------------------------------------------------------------
 
 def sigma(data: CQ5Data, p, q) -> WeightedPoint:
-    """Residual intersection of the section at (p, q) with S. Membership
-    is not re-checked here: callers verify the points they emit."""
+    """Residual intersection of the section at (p, q) with S. (p, q) must
+    lie on the section curve G = 0; that is not re-checked here, nor is
+    membership of the result: callers check both."""
     K = data.field
     p, q = K(p), K(q)
-    if data.G(p, q):
-        raise ExactAlgError("(p, q) is not on the section curve")
     t = _t_at(data, p, q)
     if t is None:
         raise MinusOneCurve("the section lies inside S")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .exactalg import (
     BinaryForm, ExactAlgError, Field, FieldElement, RationalField, UniPoly,
-    pgl2_act, poly_gcd, rational_roots, squarefree_decomposition,
+    _int_mul, pgl2_act, poly_gcd, rational_roots, squarefree_decomposition,
     squarefree_part,
 )
 from .weier import WeierCurve
@@ -119,18 +119,23 @@ class Dp1Surface:
             raise InvalidSurface("f must have degree 4 and g degree 6")
         if f.field != g.field:
             raise InvalidSurface("f and g over different fields")
-        self.field = f.field
+        K = self.field = f.field
         self.f = f
         self.g = g
-        self.disc_form = 4 * (f ** 3) + 27 * (g ** 2)
+        # 4 f^3 + 27 g^2 in one pass: f^3 over df^3, g^2 over dg^2
+        (F, df), (G, dg) = K._to_ints(f.coeffs), K._to_ints(g.coeffs)
+        F3, G2 = _int_mul(_int_mul(F, F), F), _int_mul(G, G)
+        sf, sg = 4 * dg ** 2, 27 * df ** 3
+        self.disc_form = BinaryForm._of(K, 12, K._from_ints(
+            [sf * a + sg * b for a, b in zip(F3, G2)], df ** 3 * dg ** 2))
         if self.disc_form.is_zero():
             raise InvalidSurface("4f^3 + 27g^2 vanishes identically: "
                                  "every fiber is singular")
 
     @classmethod
     def from_coeff_lists(cls, field: Field, f_coeffs, g_coeffs) -> "Dp1Surface":
-        return cls(BinaryForm(field, 4, [field(c) for c in f_coeffs]),
-                   BinaryForm(field, 6, [field(c) for c in g_coeffs]))
+        return cls(BinaryForm(field, 4, f_coeffs),
+                   BinaryForm(field, 6, g_coeffs))
 
     def contains(self, P: WeightedPoint) -> bool:
         if P.is_base_point:

@@ -1072,32 +1072,49 @@ class BinaryForm:
         self.d = degree
         self.coeffs = tuple(cs)
 
+    @classmethod
+    def _of(cls, field: Field, d: int, reps: list) -> "BinaryForm":
+        """The degree-d form with these d+1 canonical representatives of
+        field as coefficients; no coercion."""
+        out = object.__new__(cls)
+        out.field, out.d = field, d
+        out.coeffs = tuple([FieldElement(field, r) for r in reps])
+        return out
+
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
     def __add__(self, other):
         if other.d != self.d or other.field != self.field:
             raise ExactAlgError("form mismatch")
-        return BinaryForm.from_unipoly(self.chart_w() + other.chart_w(),
-                                       self.d)
+        K = self.field
+        return BinaryForm._of(K, self.d, [K._add(x.rep, y.rep) for x, y
+                                          in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self):
-        return BinaryForm.from_unipoly(-self.chart_w(), self.d)
+        K = self.field
+        return BinaryForm._of(K, self.d, [K._neg(c.rep) for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, BinaryForm):
-            return BinaryForm.from_unipoly(self.chart_w() * other.chart_w(),
-                                           self.d + other.d)
-        return BinaryForm.from_unipoly(self.chart_w() * self.field(other),
-                                       self.d)
+        K = self.field
+        if not isinstance(other, BinaryForm):
+            k = K(other).rep
+            return BinaryForm._of(K, self.d,
+                                  [K._mul(c.rep, k) for c in self.coeffs])
+        if other.field != K:
+            raise ExactAlgError("form mismatch")
+        (A, da), (B, db) = K._to_ints(self.coeffs), K._to_ints(other.coeffs)
+        return BinaryForm._of(K, self.d + other.d,
+                              K._from_ints(_int_mul(A, B), da * db))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        return _power(self, n, BinaryForm(self.field, 0, [1]))
+        return _power(self, n, BinaryForm._of(self.field, 0,
+                                              [self.field.one.rep]))
 
     def __call__(self, z0, w0) -> FieldElement:
         K = self.field
@@ -1132,13 +1149,6 @@ class BinaryForm:
         return UniPoly._of(self.field, [c.rep for c in reversed(self.coeffs)],
                            var)
 
-    @classmethod
-    def from_unipoly(cls, poly: UniPoly, degree: int) -> "BinaryForm":
-        if poly.degree() > degree:
-            raise ExactAlgError("degree too small to homogenize")
-        return cls(poly.field, degree,
-                   [poly.coeff(i) for i in range(degree + 1)])
-
     def __eq__(self, other):
         if isinstance(other, BinaryForm):
             return (self.field == other.field and self.d == other.d
@@ -1156,22 +1166,23 @@ class BinaryForm:
 def pgl2_act(M, form: BinaryForm) -> BinaryForm:
     """form(M . (z,w)^T): substitutes z -> M00 z + M01 w, w -> M10 z + M11 w.
     Satisfies act(M1, act(M2, f)) = act(M2*M1, f)."""
-    field = form.field
-    m = [[field(e) for e in row] for row in M]
-    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    if not det:
+    K, d = form.field, form.d
+    m = [K(e) for row in M for e in row]
+    if not m[0] * m[3] - m[1] * m[2]:
         raise SingularMatrix(str(M))
-    znew = BinaryForm(field, 1, [m[0][1], m[0][0]])  # M00 z + M01 w
-    wnew = BinaryForm(field, 1, [m[1][1], m[1][0]])
-    zpow, wpow = [BinaryForm(field, 0, [1])], [BinaryForm(field, 0, [1])]
-    for _ in range(form.d):
-        zpow.append(zpow[-1] * znew)
-        wpow.append(wpow[-1] * wnew)
-    out = BinaryForm(field, form.d, [0] * (form.d + 1))
-    for i, c in enumerate(form.coeffs):
+    (m00, m01, m10, m11), den = K._to_ints(m)
+    # the i-th powers of the two linear forms, over den^i
+    zpow, wpow = [[1]], [[1]]
+    for _ in range(d):
+        zpow.append(_int_mul(zpow[-1], [m01, m00]))
+        wpow.append(_int_mul(wpow[-1], [m11, m10]))
+    C, dc = K._to_ints(form.coeffs)
+    out = [0] * (d + 1)
+    for i, c in enumerate(C):
         if c:
-            out = out + c * zpow[i] * wpow[form.d - i]
-    return out
+            for j, y in enumerate(_int_mul(zpow[i], wpow[d - i])):
+                out[j] += c * y
+    return BinaryForm._of(K, d, K._from_ints(out, dc * den ** d))
 
 
 # ---------------------------------------------------------------------------

@@ -450,10 +450,10 @@ def generate_points(data: CQ5Data, cert: InfinitudeCertificate, count: int,
     seen = set()
 
     def push(p, q):
-        if data.G(p, q):
-            raise ExactAlgError("generated point is off the section curve")
         check_budget(p, budget)
         check_budget(q, budget)
+        if data.G(p, q):
+            raise ExactAlgError("generated point is off the section curve")
         if (p, q) not in seen:
             seen.add((p, q))
             out.append((p, q))

@@ -1,9 +1,12 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from dp1cert.exactalg import QQ, OverHeightBudget, UniPoly, sqrt
+from dp1cert.exactalg import (
+    QQ, ExactAlgError, OverHeightBudget, UniPoly, sqrt,
+)
 from dp1cert.dp1 import Dp1Surface, WeightedPoint
 from dp1cert.weier import CurvePoint, mul, non_torsion_certificate, order_class
 from dp1cert import instances
@@ -239,6 +242,25 @@ def test_certificate_inconclusive():
             with pytest.raises(Exception):
                 generate_points(data, cert, 1)
             found += 1
+
+
+def test_generate_points_checks_the_budget_before_the_curve():
+    """An over-budget point costs no section-curve evaluation; an in-budget
+    point off the curve still raises."""
+    data = nodal_data()
+    cert = infinitude_certificate(data, height=8)
+    calls = []
+
+    def shifted_G(p, q):        # G + 1: no generated point lies on it
+        calls.append((p, q))
+        return data.G(p, q) + 1
+    off = dataclasses.replace(data, G=shifted_G)
+    with pytest.raises(OverHeightBudget):
+        generate_points(off, cert, 5, budget=0)
+    assert calls == []
+    with pytest.raises(ExactAlgError, match="off the section curve"):
+        generate_points(off, cert, 5)
+    assert len(calls) == 1
 
 
 def test_generate_points_empty():

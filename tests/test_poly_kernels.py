@@ -1,8 +1,10 @@
 """Polynomial arithmetic on plain numbers: UniPoly +, -, *, scalar
-multiples, divmod, derivative and values, BinaryForm powers, values and
-pgl2_act, and BiPoly +, -, *, derivatives and values over QQ and GF(p)
-agree with two oracles that share none of that code, a plain FieldElement
-loop kept here and sympy's Poly, and every result is canonical. The genus1
+multiples, divmod, derivative and values, BinaryForm +, -, *, powers,
+values, pgl2_act and the surface discriminant 4f^3 + 27g^2, and BiPoly +,
+-, *, derivatives and values over QQ and GF(p) (forms also over a quotient
+extension and a function field) agree with two oracles that share none of
+that code, a plain FieldElement loop kept here and sympy's Poly, and every
+result is canonical. The genus1
 square search agrees with the rational-by-rational loop it replaced, point
 for point and in order."""
 
@@ -12,9 +14,10 @@ from fractions import Fraction
 
 import pytest
 
+from dp1cert.dp1 import Dp1Surface, InvalidSurface
 from dp1cert.exactalg import (
-    QQ, BinaryForm, BiPoly, FieldElement, PrimeField, QuotientExt, UniPoly,
-    pgl2_act, sqrt, square_split,
+    QQ, BinaryForm, BiPoly, FieldElement, FunctionField, PrimeField,
+    QuotientExt, SingularMatrix, UniPoly, pgl2_act, sqrt, square_split,
 )
 from dp1cert.genus1 import (
     QuarticModel, _rational_quartic_certificate, search_points,
@@ -137,13 +140,17 @@ def assert_canonical(poly, K):
     assert isinstance(poly.coeffs, tuple)
     assert not poly.coeffs or poly.coeffs[-1]
     for c in poly.coeffs:
-        assert isinstance(c, FieldElement) and c.field == K
-        if K is QQ:
-            assert type(c.rep) is Fraction
-            assert c.rep.denominator > 0
-            assert math.gcd(c.rep.numerator, c.rep.denominator) == 1
-        else:
-            assert type(c.rep) is int and 0 <= c.rep < K.p
+        assert_canonical_element(c, K)
+
+
+def assert_canonical_element(c, K):
+    assert isinstance(c, FieldElement) and c.field == K
+    if K is QQ:
+        assert type(c.rep) is Fraction
+        assert c.rep.denominator > 0
+        assert math.gcd(c.rep.numerator, c.rep.denominator) == 1
+    else:
+        assert type(c.rep) is int and 0 <= c.rep < K.p
 
 
 # ---------------------------------------------------------------------------
@@ -247,47 +254,187 @@ def test_quotient_extension_keeps_the_element_loop():
 # binary forms
 # ---------------------------------------------------------------------------
 
+# QQ(sqrt 2) and QQ(u) run the same form code on their elements
+EXT = QuotientExt(UniPoly(QQ, [-2, 0, 1], "a"))
+FUN = FunctionField(QQ, "u")
+FORM_FIELDS = FIELDS + ["ext", "fun"]
+
+
+def form_field(p):
+    return EXT if p == "ext" else FUN if p == "fun" else field_of(p)
+
+
+def form_scalar(rng, p):
+    if p == "ext":
+        return EXT(UniPoly(QQ, [random_scalar(rng, None) for _ in range(2)],
+                           "a"))
+    if p == "fun":
+        num = FUN.poly([rng.randint(-9, 9) for _ in range(rng.randint(1, 3))])
+        return num / FUN.poly([rng.randint(-3, 3), 1])
+    return random_scalar(rng, p)
+
+
 def random_form(rng, p, d):
-    K = field_of(p)
-    return BinaryForm(K, d, [random_scalar(rng, p) for _ in range(d + 1)])
+    return BinaryForm(form_field(p), d, [
+        0 if rng.random() < 0.2 else form_scalar(rng, p)
+        for _ in range(d + 1)])
 
 
-def loop_form_mul(f, g, K):
-    cs = loop_mul(f.coeffs, g.coeffs, K)
-    return cs + [K.zero] * (f.d + g.d + 1 - len(cs))
+def random_matrix(rng, p):
+    K = form_field(p)
+    while True:
+        M = [[K(form_scalar(rng, p)) for _ in range(2)] for _ in range(2)]
+        if M[0][0] * M[1][1] != M[0][1] * M[1][0]:
+            return M
+
+
+def assert_canonical_form(form, K):
+    assert isinstance(form.coeffs, tuple) and len(form.coeffs) == form.d + 1
+    for c in form.coeffs:
+        if K is EXT:
+            assert c.field == K and c.rep == c.rep % EXT.modulus
+            assert_canonical(c.rep, QQ)
+        elif K is FUN:
+            assert c.field == K and c.rep == FUN._canon(*c.rep)
+        else:
+            assert_canonical_element(c, K)
+
+
+def conv(a, b, K):
+    """The coefficients of a product of forms, by the element loop."""
+    out = [K.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def loop_disc(f, g, K):
+    f3 = conv(conv(f.coeffs, f.coeffs, K), f.coeffs, K)
+    return [4 * x + 27 * y for x, y in zip(f3, conv(g.coeffs, g.coeffs, K))]
+
+
+def loop_pgl2_act(M, f, K):
+    """pgl2_act by the element loop: the powers of the linear forms
+    zl = M00 z + M01 w and wl = M10 z + M11 w, then sum_i c_i zl^i wl^(d-i)."""
+    m = [[K(e) for e in row] for row in M]
+    zl, wl = [m[0][1], m[0][0]], [m[1][1], m[1][0]]
+    zpow, wpow = [[K.one]], [[K.one]]
+    for _ in range(f.d):
+        zpow.append(conv(zpow[-1], zl, K))
+        wpow.append(conv(wpow[-1], wl, K))
+    out = [K.zero] * (f.d + 1)
+    for i, c in enumerate(f.coeffs):
+        out = [x + c * y for x, y in zip(out, conv(zpow[i], wpow[f.d - i], K))]
+    return out
+
+
+def mat_mul(A, B):
+    return [[A[i][0] * B[0][j] + A[i][1] * B[1][j] for j in range(2)]
+            for i in range(2)]
+
+
+@pytest.mark.parametrize("p", FORM_FIELDS)
+def test_form_powers_and_pgl2_act_match_element_loop(p):
+    rng = random.Random(f"form-{p}")
+    K = form_field(p)
+    for _ in range(3 if p == "fun" else 12):
+        d = rng.randint(0, 4)
+        f, g = random_form(rng, p, d), random_form(rng, p, d)
+        h = random_form(rng, p, rng.randint(0, 3))
+        k = K(form_scalar(rng, p))
+        n = rng.randint(0, 2 if p == "fun" else 4)
+        power = [K.one]
+        for _ in range(n):
+            power = conv(power, f.coeffs, K)
+        cases = [(f + g, [x + y for x, y in zip(f.coeffs, g.coeffs)]),
+                 (f - g, [x - y for x, y in zip(f.coeffs, g.coeffs)]),
+                 (-f, [-x for x in f.coeffs]),
+                 (f * k, [x * k for x in f.coeffs]),
+                 (k * f, [x * k for x in f.coeffs]),
+                 (f * 3, [x * 3 for x in f.coeffs]),
+                 (f * h, conv(f.coeffs, h.coeffs, K)),
+                 (f ** n, power)]
+        M1, M2 = random_matrix(rng, p), random_matrix(rng, p)
+        cases.append((pgl2_act(M1, f), loop_pgl2_act(M1, f, K)))
+        for got, want in cases:
+            assert_canonical_form(got, K)
+            assert list(got.coeffs) == want
+        assert (f ** n).d == n * d and (f * h).d == d + h.d
+        assert pgl2_act(M1, pgl2_act(M2, h)) == pgl2_act(mat_mul(M2, M1), h)
+
+
+@pytest.mark.parametrize("p", FORM_FIELDS)
+def test_discriminant_matches_element_loop(p):
+    rng = random.Random(f"disc-{p}")
+    K = form_field(p)
+    for _ in range(2 if p == "fun" else 10):
+        f, g = random_form(rng, p, 4), random_form(rng, p, 6)
+        want = loop_disc(f, g, K)
+        if any(want):
+            disc = Dp1Surface(f, g).disc_form
+            assert_canonical_form(disc, K)
+            assert disc.d == 12 and list(disc.coeffs) == want
+            assert disc == 4 * f ** 3 + 27 * g ** 2
+        M = random_matrix(rng, p)
+        for form in (f, g):
+            assert list(pgl2_act(M, form).coeffs) == \
+                loop_pgl2_act(M, form, K)
+
+
+def sympy_coeffs(expr, d, p):
+    sympy = pytest.importorskip("sympy")
+    z, w = sympy.symbols("z w")
+    P = (sympy.Poly(expr, z, w, domain="QQ") if p is None
+         else sympy.Poly(expr, z, w, modulus=p))
+    cs = [P.coeff_monomial(z ** i * w ** (d - i)) for i in range(d + 1)]
+    if p is None:
+        return [Fraction(int(c.p), int(c.q)) for c in cs]
+    return [int(c) % p for c in cs]
 
 
 @pytest.mark.parametrize("p", FIELDS)
-def test_form_powers_and_pgl2_act_match_element_loop(p):
-    rng = random.Random(f"form-{p}")
+def test_disc_and_pgl2_act_match_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    z, w = sympy.symbols("z w")
+    rng = random.Random(f"disc-sympy-{p}")
     K = field_of(p)
-    for _ in range(12):
-        f = random_form(rng, p, rng.randint(0, 4))
-        n = rng.randint(0, 4)
-        want = BinaryForm(K, 0, [1]).coeffs
-        for _ in range(n):
-            want = loop_form_mul(BinaryForm(K, len(want) - 1, want), f, K)
-        got = f ** n
-        assert list(got.coeffs) == list(want)
-        assert got.d == n * f.d
-        # form(M . (z, w)): sum c_i (m00 z + m01 w)^i (m10 z + m11 w)^(d-i)
-        while True:
-            M = [[random_scalar(rng, p) for _ in range(2)] for _ in range(2)]
-            if K(M[0][0]) * K(M[1][1]) != K(M[0][1]) * K(M[1][0]):
-                break
-        zl = BinaryForm(K, 1, [M[0][1], M[0][0]])
-        wl = BinaryForm(K, 1, [M[1][1], M[1][0]])
-        want = [K.zero] * (f.d + 1)
-        for i, c in enumerate(f.coeffs):
-            term = BinaryForm(K, 0, [c]).coeffs
-            for lin in [zl] * i + [wl] * (f.d - i):
-                term = loop_form_mul(BinaryForm(K, len(term) - 1, term),
-                                     lin, K)
-            want = [x + y for x, y in zip(want, term)]
-        got = pgl2_act(M, f)
-        assert list(got.coeffs) == want
-        for c in got.coeffs:
-            assert c.field == K
+
+    def num(c):
+        r = K(c).rep
+        return sympy.Rational(r.numerator, r.denominator) if p is None else r
+
+    def expr(form, zs, ws):
+        return sum(num(c) * zs ** i * ws ** (form.d - i)
+                   for i, c in enumerate(form.coeffs))
+    for _ in range(6):
+        f, g = random_form(rng, p, 4), random_form(rng, p, 6)
+        want = sympy_coeffs(4 * expr(f, z, w) ** 3 + 27 * expr(g, z, w) ** 2,
+                            12, p)
+        if any(want):
+            assert reps(Dp1Surface(f, g).disc_form.coeffs) == want
+        M = random_matrix(rng, p)
+        m = [[num(e) for e in row] for row in M]
+        zs, ws = m[0][0] * z + m[0][1] * w, m[1][0] * z + m[1][1] * w
+        for form in (f, g):
+            assert reps(pgl2_act(M, form).coeffs) == \
+                sympy_coeffs(expr(form, zs, ws), form.d, p)
+
+
+@pytest.mark.parametrize("p", FORM_FIELDS)
+def test_singular_matrix_and_vanishing_discriminant_raise(p):
+    rng = random.Random(f"raise-{p}")
+    K = form_field(p)
+    for _ in range(3):
+        f = random_form(rng, p, 4)
+        a, b, k = (K(form_scalar(rng, p)) for _ in range(3))
+        with pytest.raises(SingularMatrix):
+            pgl2_act([[a, b], [k * a, k * b]], f)
+        h = random_form(rng, p, 2)
+        while h.is_zero():
+            h = random_form(rng, p, 2)
+        with pytest.raises(InvalidSurface):
+            Dp1Surface(-3 * h ** 2, 2 * h ** 3)
 
 
 # ---------------------------------------------------------------------------
