@@ -290,11 +290,11 @@ class MinusOneScheme:
     solutions: tuple     # (description, p-degree, q-count) triples
 
 
-def _q_polys_at(Fs, p0) -> list:
-    """Substitute p = p0 into each BiPoly, giving UniPolys in q over the
-    field of p0 (the base field, or K[p]/(modulus) with p0 its generator)."""
-    return [UniPoly(p0.field, [cp(p0) for cp in F.coeffs_in_q()], "q")
-            for F in Fs]
+def _q_polys_at(Fs, K, at) -> list:
+    """Each BiPoly as a UniPoly in q over K, each coefficient c in p taken
+    to at(c): its value at a root in the base field K, or its class in
+    K = k[p]/(modulus), the value at the generator."""
+    return [UniPoly(K, [at(cp) for cp in F.coeffs_in_q()], "q") for F in Fs]
 
 
 def _q_gcd(Fs_q) -> UniPoly:
@@ -322,15 +322,14 @@ def _count_for_modulus(Fs, modulus: UniPoly) -> int:
     if modulus.degree() == 1:
         # direct substitution at the rational root
         root = -modulus.coeff(0) / modulus.coeff(1)
-        return _q_count_over(_q_polys_at(Fs, root))
+        return _q_count_over(_q_polys_at(Fs, root.field, lambda c: c(root)))
     try:
-        gen = QuotientExt(modulus).generator()
-        return modulus.degree() * _q_count_over(_q_polys_at(Fs, gen))
+        ext = QuotientExt(modulus)
+        return modulus.degree() * _q_count_over(_q_polys_at(Fs, ext, ext))
     except ZeroDivisor as zd:
         # dynamic evaluation: recurse on both factors of the split modulus
-        m1 = UniPoly(modulus.field, list(zd.factor1.coeffs), modulus.var)
-        m2 = UniPoly(modulus.field, list(zd.factor2.coeffs), modulus.var)
-        return _count_for_modulus(Fs, m1) + _count_for_modulus(Fs, m2)
+        return (_count_for_modulus(Fs, zd.factor1)
+                + _count_for_modulus(Fs, zd.factor2))
 
 
 def _eliminate_q(Fs) -> UniPoly:
@@ -388,7 +387,7 @@ def minus_one_rational_points(data: CQ5Data) -> list:
         return []
     out = []
     for p0 in rational_roots(squarefree_part(T0)):
-        g = _q_gcd(_q_polys_at(Fs, p0))
+        g = _q_gcd(_q_polys_at(Fs, p0.field, lambda c: c(p0)))
         for q0 in rational_roots(g) if g.degree() > 0 else []:
             out.append((p0, q0))
     return out

@@ -138,20 +138,25 @@ class Dp1Surface:
                    BinaryForm(field, 6, g_coeffs))
 
     def contains(self, P: WeightedPoint) -> bool:
+        """Over QQ, y^2 = x^3 + (F/Fd) x + G/Gd is cleared to integers:
+        yn^2 D = yd^2 R with D = xd^3 Fd Gd and R = xn^3 Fd Gd
+        + F xn xd^2 Gd + G Fd xd^3. As gcd(yn, yd) = 1, yd^2 divides
+        yn^2 D only when it divides D, so a nonzero remainder of D by yd^2
+        rejects the point; otherwise the test is yn^2 (D / yd^2) = R."""
         if P.is_base_point:
             return True
         if not isinstance(self.field, RationalField):
             return (P.y ** 2
                     == P.x ** 3 + self.f(P.z, P.w) * P.x + self.g(P.z, P.w))
-        # over QQ: y^2 = x^3 + (F/Fd) x + G/Gd cross-multiplied in integers
         x, y, z, w = P.x.rep, P.y.rep, P.z.rep, P.w.rep
         F, Fd = self.f.eval_qq(z, w)
         G, Gd = self.g.eval_qq(z, w)
         xn, xd = x.numerator, x.denominator
         xd2 = xd * xd
-        return (y.numerator ** 2 * xd2 * xd * Fd * Gd
-                == y.denominator ** 2 * ((xn * xn * Fd + F * xd2) * xn * Gd
-                                         + G * Fd * xd2 * xd))
+        c, rem = divmod(xd2 * xd * Fd * Gd, y.denominator ** 2)
+        return not rem and (y.numerator ** 2 * c
+                            == (xn * xn * Fd + F * xd2) * xn * Gd
+                            + G * Fd * xd2 * xd)
 
     def fiber(self, z0, w0) -> WeierCurve:
         z0, w0 = self.field(z0), self.field(w0)

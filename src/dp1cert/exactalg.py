@@ -1,9 +1,10 @@
 """Exact field arithmetic and polynomial algebra.
 
 Supported fields: the rationals QQ, prime fields GF(p) with p >= 5, quotient
-extensions K[a]/(m(a)) with squarefree modulus (dynamic evaluation: inversion
-that discovers a factor of the modulus raises ZeroDivisor carrying the split),
-and rational function fields K(u) with monic-denominator canonical form.
+extensions K[a]/(m(a)) of those two with squarefree modulus (dynamic
+evaluation: inversion that discovers a factor of the modulus raises
+ZeroDivisor carrying the split), and rational function fields K(u) with
+monic-denominator canonical form.
 
 Everything here is immutable and exact; no floating point is used anywhere.
 """
@@ -15,6 +16,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from itertools import zip_longest
 
 # exact rationals within the default bit budget can exceed the interpreter's
 # conservative int-to-string limit; allow printing anything we can compute
@@ -243,7 +245,8 @@ class Field:
     # and derivatives run on ints with +, - and * only. QQ uses integers
     # over one common denominator, GF(p) residues over 1; any other field
     # keeps its elements as the "ints" over 1, so its polynomials run the
-    # element loop.
+    # element loop. QQ and GF(p) also convert bare representatives
+    # (_ints_of), the coefficients of a quotient-extension element.
     def _to_ints(self, coeffs):
         return list(coeffs), 1
 
@@ -287,9 +290,11 @@ class RationalField(Field):
         return a ** n
 
     def _to_ints(self, coeffs):
-        den = math.lcm(*(c.rep.denominator for c in coeffs))
-        return [c.rep.numerator * (den // c.rep.denominator)
-                for c in coeffs], den
+        return self._ints_of([c.rep for c in coeffs])
+
+    def _ints_of(self, reps):
+        den = math.lcm(*(c.denominator for c in reps))
+        return [c.numerator * (den // c.denominator) for c in reps], den
 
     def _from_ints(self, ints, den):
         # one gcd per coefficient, the only reduction the result needs
@@ -351,6 +356,9 @@ class PrimeField(Field):
     def _to_ints(self, coeffs):
         return [c.rep for c in coeffs], 1
 
+    def _ints_of(self, reps):
+        return list(reps), 1
+
     def _from_ints(self, ints, den):
         # den is 1: residue lists are over 1, and so are their products
         return [c % self.p for c in ints]
@@ -372,51 +380,93 @@ class PrimeField(Field):
 
 
 class QuotientExt(Field):
-    """K[a]/(m(a)) with m squarefree over K (not necessarily irreducible)."""
+    """K[a]/(m(a)) over K = QQ or GF(p), with m squarefree over K (not
+    necessarily irreducible). An element is its remainder modulo the monic
+    m, kept as a tuple of K's representatives, lowest degree first, with no
+    trailing zero; products are reduced on K's coefficient lists."""
 
     kind = "quotient"
 
     def __init__(self, modulus: "UniPoly"):
+        if not isinstance(modulus.field, (RationalField, PrimeField)):
+            raise UnsupportedField(f"quotient extension of {modulus.field}")
         if modulus.degree() < 1:
             raise ExactAlgError("modulus must be nonconstant")
         self.modulus = modulus.monic()
         self.base = modulus.field
         self.var = modulus.var
         self.char = self.base.char
+        self._m = self.base._to_ints(self.modulus.coeffs)
 
     def generator(self):
         return self(UniPoly(self.base, [0, 1], self.var))
+
+    def _poly(self, a) -> "UniPoly":
+        return UniPoly._of(self.base, list(a), self.var)
+
+    def _reduce(self, ints, den) -> tuple:
+        """The representative of the base polynomial ints / den."""
+        _, r, den = _pdivmod(self.base, ints, den, *self._m)
+        return tuple(_strip(self.base._from_ints(r, den)))
 
     def _coerce_rep(self, v):
         if isinstance(v, UniPoly):
             if v.field != self.base:
                 raise ExactAlgError("field mismatch")
-            return v % self.modulus
-        return UniPoly(self.base, [self.base(v)], self.var)
+            return self._reduce(*self.base._to_ints(v.coeffs))
+        r = self.base(v).rep
+        return () if self.base._is_zero(r) else (r,)
+
+    def _add(self, a, b):
+        if len(a) < len(b):
+            a, b = b, a
+        K = self.base
+        return tuple(_strip([K._add(x, y) for x, y in zip(a, b)]
+                            + list(a[len(b):])))
+
+    def _neg(self, a):
+        return tuple([self.base._neg(c) for c in a])
 
     def _mul(self, a, b):
-        return (a * b) % self.modulus
+        (A, da), (B, db) = self.base._ints_of(a), self.base._ints_of(b)
+        return self._reduce(_int_mul(A, B), da * db)
+
+    def _divmod(self, a, b) -> tuple:
+        """Quotient and remainder of base polynomials, on representatives."""
+        K = self.base
+        Q, R, den = _pdivmod(K, *K._ints_of(a), *K._ints_of(b))
+        return _strip(K._from_ints(Q, den)), _strip(K._from_ints(R, den))
 
     def _inv(self, a):
-        g, s, _ = _ext_gcd(a, self.modulus)
-        if g.degree() == 0:
-            return (s * g.lead().inverse()) % self.modulus
-        # g is a nonconstant proper factor of the squarefree modulus
-        other = self.modulus // g
-        raise ZeroDivisor(g.monic(), other.monic())
+        # extended Euclid on representatives: s0 a = r0 and s1 a = r1 (mod m)
+        K = self.base
+        r0, r1 = [c.rep for c in self.modulus.coeffs], a
+        s0, s1 = (), (K.one.rep,)
+        while r1:
+            q, r = self._divmod(r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, self._add(s0, self._neg(self._mul(q, s1)))
+        if len(r0) == 1:
+            return self._mul(s0, (K._inv(r0[0]),))
+        # r0 is a nonconstant proper factor of the squarefree modulus
+        g = self._poly(r0).monic()
+        raise ZeroDivisor(g, (self.modulus // g).monic())
 
     def _is_zero(self, a):
-        return a.is_zero()
+        return not a
+
+    def _to_str(self, a):
+        return str(self._poly(a))
 
     def _bit_size(self, a):
-        return sum(c.bit_size() for c in a.coeffs)
+        return sum(self.base._bit_size(c) for c in a)
 
     def down(self, el: FieldElement) -> FieldElement:
         """Coerce a degree-0 element back into the base field."""
         rep = el.rep
-        if rep.degree() > 0:
+        if len(rep) > 1:
             raise ExactAlgError("element is not in the base field")
-        return rep.coeffs[0] if rep.coeffs else self.base.zero
+        return FieldElement(self.base, rep[0]) if rep else self.base.zero
 
     def __eq__(self, other):
         return (isinstance(other, QuotientExt) and other.var == self.var
@@ -641,25 +691,8 @@ class UniPoly:
         K, var = self.field, self.var
         if len(self.coeffs) < len(o.coeffs):
             return UniPoly._of(K, [], var), self
-        (A, da), (B, db) = K._to_ints(self.coeffs), K._to_ints(o.coeffs)
-        if isinstance(K, PrimeField):
-            inv = pow(B[-1], -1, K.p)
-            Q, R = _zp_divmod(A, [y * inv % K.p for y in B], K.p)
-            Q, den = [x * inv for x in Q], 1
-        elif isinstance(K, RationalField):
-            # s A = Q B + R, so a = (Q db / (s da)) b + R / (s da)
-            Q, R, s = _int_pdivmod(A, B)
-            Q, den = [x * db for x in Q], s * da
-        else:
-            # the element loop: A and B are the coefficients, over 1
-            inv, n = B[-1].inverse(), len(B) - 1
-            Q, R, den = [K.zero] * (len(A) - n), A, 1
-            for k in range(len(Q) - 1, -1, -1):
-                c = Q[k] = R[k + n] * inv
-                if c:
-                    for j, y in enumerate(B):
-                        R[k + j] = R[k + j] - c * y
-            R = R[:n]
+        Q, R, den = _pdivmod(K, *K._to_ints(self.coeffs),
+                             *K._to_ints(o.coeffs))
         return (UniPoly._of(K, K._from_ints(Q, den), var),
                 UniPoly._of(K, K._from_ints(R, den), var))
 
@@ -740,23 +773,6 @@ class UniPoly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def _ext_gcd(a: UniPoly, b: UniPoly):
-    """Extended Euclid: returns (g, s, t) with s*a + t*b = g. Plain Euclid;
-    used over prime fields and extension towers where coefficients stay small."""
-    field, var = a.field, a.var
-    r0, r1 = a, b
-    s0 = UniPoly(field, [1], var)
-    s1 = UniPoly(field, [], var)
-    t0 = UniPoly(field, [], var)
-    t1 = UniPoly(field, [1], var)
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return r0, s0, t0
-
-
 def _primitive(ints: list) -> list:
     """Integer coefficients divided by their content."""
     g = math.gcd(*ints)
@@ -767,18 +783,28 @@ def _qq_poly_to_int_list(a: UniPoly):
     return _primitive(a.field._to_ints(a.coeffs)[0])
 
 
+def _strip(a: list) -> list:
+    """a without trailing zeros, in place."""
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
 def _int_pdivmod(a: list, b: list) -> tuple:
     """(q, r, s) with s a = q b + r and deg r < deg b, for integer lists a
-    and b (b without trailing zero). Each step scales by lc(b) / gcd(lc(b),
-    top), so a divisor with lc(b) = 1 never scales."""
+    and b (b without trailing zero). Each step scales by |lc(b)| / gcd(lc(b),
+    top) > 0, so a divisor with lc(b) = +-1 never scales, and an exact
+    division ends with s = 1 and r = 0. The one integer pseudo-division:
+    divmod, quotient extensions, poly_gcd and resultant_q use it."""
     lb, db = b[-1], len(b) - 1
+    sign = 1 if lb > 0 else -1
     r, s = list(a), 1
     q = [0] * (len(r) - db)
     for k in range(len(q) - 1, -1, -1):
         t = r[k + db]
         if not t:
             continue
-        g = math.gcd(t, lb)
+        g = sign * math.gcd(t, lb)
         m = lb // g
         if m != 1:
             s *= m
@@ -788,25 +814,6 @@ def _int_pdivmod(a: list, b: list) -> tuple:
         for j in range(db):
             r[k + j] -= c * b[j]
     return q, r[:db], s
-
-
-def _int_prem(a: list, b: list) -> list:
-    """Pseudo-remainder of integer coefficient lists, content-stripped."""
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) - 1 < db:
-            break
-        la = a[-1]
-        k = len(a) - 1 - db
-        a = [v * lb for v in a]
-        for j in range(db + 1):
-            a[k + j] -= la * b[j]
-        while a and a[-1] == 0:
-            a.pop()
-    return _primitive(a)
 
 
 def _int_mul(a: list, b: list) -> list:
@@ -827,10 +834,7 @@ def _int_mul(a: list, b: list) -> list:
 
 def _zp(cs, p) -> list:
     """Integers reduced mod p, trailing zeros stripped."""
-    out = [c % p for c in cs]
-    while out and not out[-1]:
-        out.pop()
-    return out
+    return _strip([c % p for c in cs])
 
 
 def _zp_mul(a: list, b: list, p) -> list:
@@ -845,11 +849,12 @@ def _zp_monic(a: list, p) -> list:
 
 
 def _zp_divmod(a: list, m: list, p) -> tuple:
-    """(q, r) with a = q m + r and deg r < deg m, for m monic."""
+    """(q, r) with a = q m + r and deg r < deg m, for m monic; a may be
+    unreduced, q comes reduced and r as a residue list."""
     dm = len(m) - 1
+    if len(a) <= dm:
+        return [], _zp(a, p)
     r = list(a)
-    if len(r) <= dm:
-        return [], r
     q = [0] * (len(r) - dm)
     for k in range(len(q) - 1, -1, -1):
         c = q[k] = r[k + dm] % p
@@ -879,6 +884,29 @@ def _zp_powmod(base: list, n: int, m: list, p) -> list:
     return out
 
 
+def _pdivmod(K, A: list, da, B: list, db) -> tuple:
+    """(Q, R, den) with A / da = (Q / den)(B / db) + R / den and deg R <
+    deg B, for coefficient lists of K in its _to_ints form, B without
+    trailing zero: the residue division by the monic B / lc(B) over GF(p),
+    the integer pseudo-division over QQ (s A = Q B + R, so den = s da), and
+    the element loop over any other field; den = da except over QQ."""
+    if isinstance(K, PrimeField):
+        inv = pow(B[-1], -1, K.p)
+        Q, R = _zp_divmod(A, [y * inv % K.p for y in B], K.p)
+        return [x * inv for x in Q], R, 1
+    if isinstance(K, RationalField):
+        Q, R, s = _int_pdivmod(A, B)
+        return [x * db for x in Q] if db != 1 else Q, R, s * da
+    inv, n = B[-1].inverse(), len(B) - 1
+    Q, R = [K.zero] * (len(A) - n), list(A)
+    for k in range(len(Q) - 1, -1, -1):
+        c = Q[k] = R[k + n] * inv
+        if c:
+            for j, y in enumerate(B):
+                R[k + j] = R[k + j] - c * y
+    return Q, R[:n], 1
+
+
 def _zp_minus_power(a: list, k: int, p) -> list:
     """a - t^k."""
     out = a + [0] * (k + 1 - len(a))
@@ -901,7 +929,7 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
         if len(u) < len(v):
             u, v = v, u
         while v:
-            u, v = v, _int_prem(u, v)
+            u, v = v, _primitive(_strip(_int_pdivmod(u, v)[1]))
         return UniPoly(a.field, u, a.var).monic()
     if isinstance(a.field, PrimeField):
         return UniPoly(a.field, _zp_gcd([c.rep for c in a.coeffs],
@@ -917,8 +945,9 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
 
 def squarefree_part(a: UniPoly) -> UniPoly:
     """Monic product of the distinct irreducible factors; InseparableCase
-    propagates from the characteristic-p decomposition."""
-    if a.degree() < 1:
+    propagates from the characteristic-p decomposition. A polynomial of
+    degree at most 1 is its own squarefree part."""
+    if a.degree() < 2:
         return a.monic()
     return math.prod((factor for factor, _ in squarefree_decomposition(a)),
                      start=UniPoly(a.field, [1], a.var))
@@ -1380,51 +1409,59 @@ class BiPoly:
 
 
 def resultant_q(a: BiPoly, b: BiPoly, var: str = "p") -> UniPoly:
-    """Res_q(a, b) as a UniPoly in p: Sylvester determinant computed by
-    fraction-free Bareiss elimination over K[p]."""
+    """Res_q(a, b) as a UniPoly in p over QQ or GF(p): the Sylvester
+    determinant by fraction-free Bareiss elimination (Bareiss 1968) on
+    coefficient lists in p. Over GF(p) the entries are residue lists; over
+    QQ, a = A / da and b = B / db with A and B in Z[p][q], the determinant
+    is taken in Z[p] and divided by da^n db^m once at the end (m = deg_q a,
+    n = deg_q b). Every division by the previous pivot is exact."""
+    K = a.field
+    if not isinstance(K, (RationalField, PrimeField)):
+        raise UnsupportedField(f"resultant over {K}")
     if a.deg_q() < 0 or b.deg_q() < 0:
         raise ExactAlgError("resultant of zero polynomial")
-    ca, cb = a.coeffs_in_q(var), b.coeffs_in_q(var)
+    (ca, da), (cb, db) = _q_rows(a), _q_rows(b)
     m, n = len(ca) - 1, len(cb) - 1
-    field = a.field
-    zero = UniPoly(field, [], var)
-    if m == 0 and n == 0:
-        return UniPoly(field, [1], var)
-    if m == 0:
-        return ca[0] ** n
-    if n == 0:
-        return cb[0] ** m
     size = m + n
-    rows = []
-    for i in range(n):
-        row = [zero] * size
-        for j, c in enumerate(reversed(ca)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(m):
-        row = [zero] * size
-        for j, c in enumerate(reversed(cb)):
-            row[i + j] = c
-        rows.append(row)
-    sign = 1
-    prev = UniPoly(field, [1], var)
+    rows = ([[[]] * i + ca + [[]] * (n - 1 - i) for i in range(n)]
+            + [[[]] * i + cb + [[]] * (m - 1 - i) for i in range(m)])
+
+    def exact_div(x, d):
+        q, r, den = _pdivmod(K, x, 1, d, 1)
+        assert den == 1 and not any(r)
+        return _zp(q, K.p) if K.char else _strip(q)
+    sign, prev = 1, [1]
     for k in range(size - 1):
-        if rows[k][k].is_zero():
-            for i in range(k + 1, size):
-                if not rows[i][k].is_zero():
-                    rows[k], rows[i] = rows[i], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return zero
-        piv = rows[k][k]
-        for i in range(k + 1, size):
+        if not rows[k][k]:
+            i = next((i for i in range(k + 1, size) if rows[i][k]), None)
+            if i is None:
+                return UniPoly._of(K, [], var)
+            rows[k], rows[i] = rows[i], rows[k]
+            sign = -sign
+        piv, pivot_row = rows[k][k], rows[k]
+        for row in rows[k + 1:]:
+            lead, row[k] = row[k], []
             for j in range(k + 1, size):
-                rows[i][j] = (rows[i][j] * piv - rows[i][k] * rows[k][j]).exact_div(prev)
-            rows[i][k] = zero
+                x = [u - v for u, v in zip_longest(
+                    _int_mul(row[j], piv), _int_mul(lead, pivot_row[j]),
+                    fillvalue=0)]
+                row[j] = exact_div(x, prev)
         prev = piv
-    det = rows[size - 1][size - 1]
-    return det if sign == 1 else -det
+    det = rows[-1][-1] if size else [1]
+    return UniPoly._of(K, K._from_ints([sign * c for c in det],
+                                       da ** n * db ** m), var)
+
+
+def _q_rows(a: BiPoly) -> tuple:
+    """(rows, den): a = sum_j rows[j] q^(deg_q a - j) / den, each row the
+    field ints of a coefficient in p without trailing zeros (residues over
+    GF(p), integers over QQ), highest power of q first."""
+    ints, den = a._ints()
+    n = a.deg_q()
+    rows = [[0] * (a.deg_p() + 1) for _ in range(n + 1)]
+    for (i, j), x in zip(a.terms, ints):
+        rows[n - j][i] = x
+    return [_strip(r) for r in rows], den
 
 
 # ---------------------------------------------------------------------------

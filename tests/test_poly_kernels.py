@@ -292,8 +292,14 @@ def assert_canonical_form(form, K):
     assert isinstance(form.coeffs, tuple) and len(form.coeffs) == form.d + 1
     for c in form.coeffs:
         if K is EXT:
-            assert c.field == K and c.rep == c.rep % EXT.modulus
-            assert_canonical(c.rep, QQ)
+            # a tuple of Fractions: the remainder modulo the modulus, with
+            # no trailing zero
+            assert c.field == K and type(c.rep) is tuple
+            poly = UniPoly(QQ, c.rep, "a")
+            assert [x.rep for x in poly.coeffs] == list(c.rep)
+            assert poly == poly % EXT.modulus
+            for x in c.rep:
+                assert_canonical_element(FieldElement(QQ, x), QQ)
         elif K is FUN:
             assert c.field == K and c.rep == FUN._canon(*c.rep)
         else:
