@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .exactalg import (
     BiPoly, ExactAlgError, FieldElement, QuotientExt, UniPoly,
     UnsupportedField, ZeroDivisor, poly_gcd, rational_roots, resultant_q,
-    sqrt, square_split, squarefree_decomposition, squarefree_part,
+    _horner, sqrt, square_split, squarefree_decomposition, squarefree_part,
 )
 from .dp1 import Dp1Surface, SectionCurve, WeightedPoint, section_surface_form
 from .weier import CurvePoint, PhiValues, WeierCurve, mul, phi_values
@@ -465,22 +465,15 @@ def components(data: CQ5Data) -> list:
 
 def _reduces_to_zero(F: BiPoly, comp: ComponentDesc) -> bool:
     """Does F vanish identically on the component H = 0?"""
-    K = F.field
     H = comp.H
     if comp.shape == "vertical_line":
         m = H.coeffs_in_q("p")[0]
         return all((cq % m).is_zero() for cq in F.coeffs_in_q("p"))
     if comp.shape == "graph":
         hc = H.coeffs_in_q("p")
-        M = hc[1]
-        N = -hc[0]
-        # F(p, N/M) = 0 as a rational function
-        num = UniPoly(K, [], "p")
-        Fq = F.coeffs_in_q("p")
-        n = len(Fq) - 1
-        for j, cq in enumerate(Fq):
-            num = num + cq * N ** j * M ** (n - j)
-        return num.is_zero()
+        # F(p, N/M) M^deg_q F = 0 as a polynomial in p, N = -hc0 and M = hc1
+        num = _horner(F.coeffs_in_q("p"), -hc[0], hc[1])
+        return F.is_zero() or num.is_zero()
     # quadratic cover: divide out in q (leading coefficient is the scalar c1)
     hc = H.coeffs_in_q("p")
     lc = hc[2]

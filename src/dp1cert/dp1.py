@@ -148,9 +148,9 @@ class Dp1Surface:
         if not isinstance(self.field, RationalField):
             return (P.y ** 2
                     == P.x ** 3 + self.f(P.z, P.w) * P.x + self.g(P.z, P.w))
-        x, y, z, w = P.x.rep, P.y.rep, P.z.rep, P.w.rep
-        F, Fd = self.f.eval_qq(z, w)
-        G, Gd = self.g.eval_qq(z, w)
+        x, y = P.x.rep, P.y.rep
+        F, Fd = self.f.value_pair(P.z, P.w)
+        G, Gd = self.g.value_pair(P.z, P.w)
         xn, xd = x.numerator, x.denominator
         xd2 = xd * xd
         c, rem = divmod(xd2 * xd * Fd * Gd, y.denominator ** 2)

@@ -73,26 +73,59 @@ DEFAULT_BIT_BUDGET = 2 ** 16
 # ---------------------------------------------------------------------------
 
 def _is_probable_prime(n: int) -> bool:
+    """Baillie-PSW (Baillie and Wagstaff, Math. Comp. 1980): trial division
+    by the primes up to 37, so small n stay cheap, then a strong test to
+    base 2 and a strong Lucas test with Selfridge's parameters."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % p == 0:
             return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    # base 2: 2^d = 1 or 2^(d 2^r) = -1 for some 0 <= r < s, n - 1 = d 2^s
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    xs = [pow(2, (n - 1) >> s, n)]
+    for _ in range(s - 1):
+        xs.append(xs[-1] * xs[-1] % n)
+    if xs[0] != 1 and n - 1 not in xs:
+        return False
+    if math.isqrt(n) ** 2 == n:     # no D has (D / n) = -1
+        return False
+    D = 5     # Selfridge: the first of 5, -7, 9, -11, ... with (D / n) = -1
+    while (j := _jacobi(D, n)) == 1:
+        D = 2 - D if D < 0 else -2 - D
+    return j == -1 and _strong_lucas(n, D, (1 - D) // 4)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a / n), n odd and positive."""
+    a, t = a % n, 1
+    while a:
+        z = (a & -a).bit_length() - 1
+        a >>= z
+        if z & 1 and n % 8 in (3, 5):
+            t = -t
+        if a % 4 == 3 and n % 4 == 3:
+            t = -t
+        a, n = n % a, a
+    return t if n == 1 else 0
+
+
+def _strong_lucas(n: int, D: int, Q: int) -> bool:
+    """U_d = 0 or V_(d 2^r) = 0 mod n for some 0 <= r < s, n + 1 = d 2^s
+    with d odd and P = 1: along the bits of d by U_2k = U_k V_k, V_2k = V_k^2
+    - 2 Q^k, U_(k+1) = (U_k + V_k) / 2 and V_(k+1) = (D U_k + V_k) / 2."""
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    U, V, Qk, half = 1, 1, Q % n, (n + 1) // 2
+    for bit in bin((n + 1) >> s)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = (U + V) * half % n, (D * U + V) * half % n
+            Qk = Qk * Q % n
+    for _ in range(s):
+        if not U or not V:
+            return True
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+    return False
 
 
 def _power(base, n: int, one):
@@ -246,12 +279,19 @@ class Field:
     # over one common denominator, GF(p) residues over 1; any other field
     # keeps its elements as the "ints" over 1, so its polynomials run the
     # element loop. QQ and GF(p) also convert bare representatives
-    # (_ints_of), the coefficients of a quotient-extension element.
+    # (_ints_of), the coefficients of a quotient-extension element. The
+    # same numbers serve for values: _point gives a point (z : w) of P^1 as
+    # (a, b, c) with z = a / c and w = b / c, and a form's value is
+    # _horner(ints, a, b) over den c^d (_value).
     def _to_ints(self, coeffs):
         return list(coeffs), 1
 
     def _from_ints(self, ints, den):
         return [self(c).rep for c in ints]
+
+    def _point(self, z, w):
+        (a, b), c = self._to_ints([z, w])
+        return a, b, c
 
     def _to_str(self, a):
         return str(a)
@@ -575,9 +615,10 @@ def sqrt(a: FieldElement):
 # univariate polynomials
 # ---------------------------------------------------------------------------
 
-def _horner(ints: list, a: int, b: int) -> int:
+def _horner(ints: list, a, b):
     """sum_i ints[i] a^i b^(d-i), d = len(ints) - 1, by one homogeneous
-    Horner pass."""
+    Horner pass: the one evaluation loop. Entries and point may be
+    integers, field elements or polynomials; no entry gives 0."""
     acc, bp = 0, 1
     for e in reversed(ints):
         acc *= a
@@ -587,15 +628,20 @@ def _horner(ints: list, a: int, b: int) -> int:
     return acc
 
 
-def _horner_qq(coeffs, z: Fraction, w: Fraction) -> tuple:
-    """sum_i e_i z^i w^(d-i) over QQ, d = len(coeffs) - 1 >= 0, as an
-    unreduced integer pair (N, D), D > 0, with no gcd: z = a/c and w = b/c
-    over c = den(z) den(w), the coefficients e_i = E_i/L over L = lcm of
-    their denominators, then N = sum E_i a^i b^(d-i) and D = L c^d."""
-    ints, L = QQ._to_ints(coeffs)
-    a, b = z.numerator * w.denominator, w.numerator * z.denominator
-    c = z.denominator * w.denominator
-    return _horner(ints, a, b), L * c ** (len(coeffs) - 1)
+def _lift(K: Field, field: Field, coeffs) -> tuple:
+    """coeffs of field as K's (ints, den); K is the field of a point, field
+    itself or an extension of it, into which they are lifted."""
+    return K._to_ints(coeffs) if K == field else ([K(c) for c in coeffs], 1)
+
+
+def _value(field: Field, coeffs, z, w) -> tuple:
+    """(K, N, D) with sum_i coeffs[i] z^i w^(d-i) = N / D in the ints form
+    of K, the field of z (field or an extension of it), unreduced: integers
+    with D > 0 and no gcd over QQ. d = len(coeffs) - 1, 0 for no coeffs."""
+    K = z.field if isinstance(z, FieldElement) else field
+    a, b, c = K._point(K(z), K(w))
+    ints, den = _lift(K, field, coeffs)
+    return K, _horner(ints, a, b), den * c ** max(len(ints) - 1, 0)
 
 
 class UniPoly:
@@ -721,18 +767,8 @@ class UniPoly:
                                            da), self.var)
 
     def __call__(self, x):
-        K = x.field if isinstance(x, FieldElement) else self.field
-        x = K(x)   # the point may lie in an extension of self.field
-        if self.coeffs and K == self.field:
-            if isinstance(K, RationalField):
-                return K(Fraction(*_horner_qq(self.coeffs, x.rep, Fraction(1))))
-            if isinstance(K, PrimeField):
-                return FieldElement(K, _horner(K._to_ints(self.coeffs)[0],
-                                               x.rep, 1) % K.p)
-        acc = K.zero
-        for c in reversed(self.coeffs):
-            acc = acc * x + K(c)
-        return acc
+        K, N, D = _value(self.field, self.coeffs, x, self.field.one)
+        return FieldElement(K, K._from_ints([N], D)[0])
 
     def compose(self, other: "UniPoly") -> "UniPoly":
         acc = UniPoly(self.field, [], self.var)
@@ -1065,7 +1101,7 @@ def rational_roots(a: UniPoly) -> list:
                 break
         p += 2
 
-    def at(cs, x, m):
+    def at(cs, x, m):   # reduced at each step: faster than _horner here
         acc = 0
         for c in reversed(cs):
             acc = (acc * x + c) % m
@@ -1146,28 +1182,13 @@ class BinaryForm:
                                               [self.field.one.rep]))
 
     def __call__(self, z0, w0) -> FieldElement:
-        K = self.field
-        z0, w0 = K(z0), K(w0)
-        if isinstance(K, RationalField):
-            return K(Fraction(*self.eval_qq(z0.rep, w0.rep)))
-        if isinstance(K, PrimeField):
-            return FieldElement(K, _horner(K._to_ints(self.coeffs)[0],
-                                           z0.rep, w0.rep) % K.p)
-        acc = K.zero
-        zp = K.one
-        wps = [K.one]
-        for _ in range(self.d):
-            wps.append(wps[-1] * w0)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                acc = acc + c * zp * wps[self.d - i]
-            zp = zp * z0
-        return acc
+        K, N, D = _value(self.field, self.coeffs, z0, w0)
+        return FieldElement(K, K._from_ints([N], D)[0])
 
-    def eval_qq(self, z: Fraction, w: Fraction) -> tuple:
-        """The value at (z : w) over QQ as an unreduced integer pair (N, D),
-        D > 0, with no gcd (see _horner_qq)."""
-        return _horner_qq(self.coeffs, z, w)
+    def value_pair(self, z0, w0) -> tuple:
+        """The value at (z0 : w0) as the unreduced pair (N, D) of _value:
+        integers with D > 0 and no gcd over QQ."""
+        return _value(self.field, self.coeffs, z0, w0)[1:]
 
     def chart_w(self, var: str = "t") -> UniPoly:
         """Dehomogenize at w=1: coefficient of t^i is e_i."""
@@ -1325,31 +1346,14 @@ class BiPoly:
         return _power(self, n, BiPoly.const(self.field.one))
 
     def __call__(self, pv, qv) -> FieldElement:
+        # each q-row at (p : 1), then the column of values at (q : 1)
         K = pv.field if isinstance(pv, FieldElement) else self.field
-        pv, qv = K(pv), K(qv)   # the point may lie in an extension of self.field
-        if (self.terms and K == self.field
-                and isinstance(K, (RationalField, PrimeField))):
-            # p = a/b and q = c/d (b = d = 1 over GF(p)), cleared by b^m d^n
-            ints, den = self._ints()
-            m, n = self.deg_p(), self.deg_q()
-            a, b = pv.rep.numerator, pv.rep.denominator
-            c, d = qv.rep.numerator, qv.rep.denominator
-            pp = [a ** i * b ** (m - i) for i in range(m + 1)]
-            qp = [c ** j * d ** (n - j) for j in range(n + 1)]
-            acc = sum(x * pp[i] * qp[j] for (i, j), x in zip(self.terms, ints))
-            return FieldElement(K, K._from_ints([acc], den * b ** m * d ** n)[0])
-        acc = K.zero
-        ppow, qpow = {0: K.one}, {0: K.one}
-        for (i, j), c in self.terms.items():
-            c = K(c)
-            while i not in ppow:
-                m = max(ppow)
-                ppow[m + 1] = ppow[m] * pv
-            while j not in qpow:
-                m = max(qpow)
-                qpow[m + 1] = qpow[m] * qv
-            acc = acc + c * ppow[i] * qpow[j]
-        return acc
+        ap, bp, cp = K._point(K(pv), K.one)
+        aq, bq, cq = K._point(K(qv), K.one)
+        rows, den = _q_rows(self, K)
+        N = _horner([_horner(r, ap, bp) for r in rows], aq, bq)
+        D = den * cp ** max(self.deg_p(), 0) * cq ** max(len(rows) - 1, 0)
+        return FieldElement(K, K._from_ints([N], D)[0])
 
     def coeffs_in_q(self, var: str = "p") -> list:
         """List of UniPoly in p; entry j is the coefficient of q^j."""
@@ -1420,7 +1424,8 @@ def resultant_q(a: BiPoly, b: BiPoly, var: str = "p") -> UniPoly:
         raise UnsupportedField(f"resultant over {K}")
     if a.deg_q() < 0 or b.deg_q() < 0:
         raise ExactAlgError("resultant of zero polynomial")
-    (ca, da), (cb, db) = _q_rows(a), _q_rows(b)
+    (ca, da), (cb, db) = _q_rows(a, K), _q_rows(b, K)
+    ca, cb = [_strip(r) for r in ca[::-1]], [_strip(r) for r in cb[::-1]]
     m, n = len(ca) - 1, len(cb) - 1
     size = m + n
     rows = ([[[]] * i + ca + [[]] * (n - 1 - i) for i in range(n)]
@@ -1452,16 +1457,15 @@ def resultant_q(a: BiPoly, b: BiPoly, var: str = "p") -> UniPoly:
                                        da ** n * db ** m), var)
 
 
-def _q_rows(a: BiPoly) -> tuple:
-    """(rows, den): a = sum_j rows[j] q^(deg_q a - j) / den, each row the
-    field ints of a coefficient in p without trailing zeros (residues over
-    GF(p), integers over QQ), highest power of q first."""
-    ints, den = a._ints()
-    n = a.deg_q()
-    rows = [[0] * (a.deg_p() + 1) for _ in range(n + 1)]
+def _q_rows(a: BiPoly, K: Field) -> tuple:
+    """(rows, den): a = sum_j rows[j] q^j / den, each row the coefficient of
+    q^j as K's ints of its coefficients in p, deg_p a + 1 of them (_lift:
+    K is a's field or an extension of it)."""
+    ints, den = _lift(K, a.field, a.terms.values())
+    rows = [[0] * (a.deg_p() + 1) for _ in range(a.deg_q() + 1)]
     for (i, j), x in zip(a.terms, ints):
-        rows[n - j][i] = x
-    return [_strip(r) for r in rows], den
+        rows[j][i] = x
+    return rows, den
 
 
 # ---------------------------------------------------------------------------

@@ -124,7 +124,7 @@ def _square_values(D: UniPoly, height: int):
         for u in range(-height, height + 1):
             if gcd(u, w) != 1:
                 continue
-            val = 0
+            val = 0    # w's powers are in scaled: faster than _horner here
             for c in reversed(scaled):
                 val = val * u + c
             if val >= 0:

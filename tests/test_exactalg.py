@@ -38,9 +38,39 @@ def test_prime_field_arith():
 
 def test_prime_field_rejects_bad_p():
     from dp1cert.exactalg import ExactAlgError
-    for bad in (2, 3, 4, 15):
+    for bad in (2, 3, 4, 15, 318665857834031151167461,
+                3317044064679887385961981):
         with pytest.raises(ExactAlgError):
             PrimeField(bad)
+
+
+# composites that fool weaker tests: Carmichael numbers; strong
+# pseudoprimes to base 2, the five from 3215031751 on strong to every prime
+# base up to 7, 11, 13, 17 and 23 in turn, the last two to every base up to
+# 37; strong Lucas pseudoprimes (Selfridge's parameters); a semiprime
+HARD_COMPOSITES = [
+    561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 62745, 825265,
+    321197185, 5394826801, 232250619601, 9746347772161,
+    2047, 3277, 4033, 4681, 8321, 5459, 5777, 10877, 16109, 18971,
+    3215031751, 2152302898747, 3474749660383, 341550071728321,
+    3825123056546413051, 318665857834031151167461,
+    3317044064679887385961981, (2 ** 61 - 1) * (2 ** 89 - 1),
+]
+
+
+def test_primality_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from dp1cert.exactalg import _is_probable_prime
+    assert [n for n in range(10 ** 5)
+            if _is_probable_prime(n) != sympy.isprime(n)] == []
+    rng = random.Random(14)
+    odd = [rng.getrandbits(rng.randint(64, 512)) | 1 for _ in range(200)]
+    primes = [int(sympy.nextprime(n)) for n in odd[:24]]
+    cases = (HARD_COMPOSITES + odd + primes
+             + [x * y for x, y in zip(primes, primes[1:])])
+    assert [n for n in cases
+            if _is_probable_prime(n) != sympy.isprime(n)] == []
+    assert not any(_is_probable_prime(n) for n in HARD_COMPOSITES)
 
 
 def test_quotient_ext_golden_ratio():

@@ -192,7 +192,7 @@ def test_binary_form_over_qq_matches_fraction_oracle(d):
         for z, w in points:
             expect = form_value(coeffs, z, w)
             assert F(QQ(z), QQ(w)) == QQ(expect)
-            num, den = F.eval_qq(z, w)
+            num, den = F.value_pair(z, w)
             assert den > 0 and Fraction(num, den) == expect
 
 

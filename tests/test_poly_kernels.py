@@ -2,7 +2,8 @@
 multiples, divmod, derivative and values, BinaryForm +, -, *, powers,
 values, pgl2_act and the surface discriminant 4f^3 + 27g^2, and BiPoly +,
 -, *, derivatives and values over QQ and GF(p) (forms also over a quotient
-extension and a function field) agree with two oracles that share none of
+extension and a function field, values also at points of a quadratic
+extension) agree with two oracles that share none of
 that code, a plain FieldElement loop kept here and sympy's Poly, and every
 result is canonical. The genus1
 square search agrees with the rational-by-rational loop it replaced, point
@@ -597,6 +598,44 @@ def test_bipoly_values_match_element_loop(p):
             assert math.gcd(got.rep.numerator, got.rep.denominator) == 1
         else:
             assert 0 <= got.rep < K.p
+    # points of a quadratic extension lift the coefficients, as the image
+    # of sigma is sampled there; and the zero polynomial
+    L = ext_of(K)
+    for _ in range(20):
+        a = random_bipoly(rng, p)
+        pv, qv = ext_scalar(rng, p, L), ext_scalar(rng, p, L)
+        want = L.zero
+        for (i, j), c in a.terms.items():
+            want = want + L(c) * pv ** i * qv ** j
+        got = a(pv, qv)
+        assert got == want and got.field == L
+    zero = BiPoly.zero(K)
+    assert zero(K(random_scalar(rng, p)), K.one) == K.zero
+    assert zero(ext_scalar(rng, p, L), L.one) == L.zero
+
+
+def ext_of(K):
+    """K[a]/(a^2 - 2), squarefree over QQ and every GF(p) with p >= 5."""
+    return QuotientExt(UniPoly(K, [-2, 0, 1], "a"))
+
+
+def ext_scalar(rng, p, L):
+    return L(UniPoly(field_of(p), [random_scalar(rng, p) for _ in range(2)],
+                     "a"))
+
+
+def loop_value(A, x, K):
+    want = K.zero
+    for c in reversed(A.coeffs):
+        want = want * x + K(c)
+    return want
+
+
+def loop_form_value(f, z, w, K):
+    want = K.zero
+    for i, c in enumerate(f.coeffs):
+        want = want + K(c) * z ** i * w ** (f.d - i)
+    return want
 
 
 @pytest.mark.parametrize("p", FIELDS)
@@ -606,12 +645,30 @@ def test_poly_and_form_values_match_element_loop(p):
     for _ in range(40):
         A = random_poly(rng, p)
         x, z, w = (K(random_scalar(rng, p)) for _ in range(3))
-        want = K.zero
-        for c in reversed(A.coeffs):
-            want = want * x + c
-        assert A(x) == want
+        assert A(x) == loop_value(A, x, K)
         f = random_form(rng, p, rng.randint(0, 6))
-        want = K.zero
-        for i, c in enumerate(f.coeffs):
-            want = want + c * z ** i * w ** (f.d - i)
-        assert f(z, w) == want
+        assert f(z, w) == loop_form_value(f, z, w, K)
+        assert f(K.one, K.zero) == f.coeffs[-1]
+    # points of a quadratic extension, the zero polynomial and (1 : 0)
+    L = ext_of(K)
+    for _ in range(20):
+        A = random_poly(rng, p)
+        x, z, w = (ext_scalar(rng, p, L) for _ in range(3))
+        got = A(x)
+        assert got == loop_value(A, x, L) and got.field == L
+        f = random_form(rng, p, rng.randint(0, 6))
+        got = f(z, w)
+        assert got == loop_form_value(f, z, w, L) and got.field == L
+        assert f(L.one, L.zero) == L(f.coeffs[-1])
+    x = K(random_scalar(rng, p))
+    assert UniPoly(K, [])(x) == K.zero
+    assert UniPoly(K, [])(ext_scalar(rng, p, L)) == L.zero
+    assert BinaryForm(K, 3, [0] * 4)(x, K.one) == K.zero
+    if K is QQ:
+        # forms over QQ(u): verify_nodal_model evaluates one at (4 : 0)
+        for _ in range(15):
+            f = random_form(rng, "fun", rng.randint(0, 4))
+            z, w = form_scalar(rng, "fun"), form_scalar(rng, "fun")
+            got = f(z, w)
+            assert got == loop_form_value(f, z, w, FUN) and got.field == FUN
+            assert f(FUN(4), FUN.zero) == FUN(4) ** f.d * f.coeffs[-1]
