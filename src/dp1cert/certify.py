@@ -569,7 +569,7 @@ def verify_nodal_model(S: Dp1Surface) -> dict:
                             "degeneration")
     F = FunctionField(QQ, "x0")
     x0 = F.gen()
-    fco = [F(c) for c in S.f.coeffs] + [F.zero, F.zero]
+    fco = [F(c) for c in S.f.coeffs]
     gco = [F(c) for c in S.g.coeffs]
     d = -3 * gco[0] / (2 * fco[0])
     c_lin = fco[1] * d + gco[1]            # f1 d + g1, nonzero (simple root)

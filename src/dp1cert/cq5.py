@@ -11,6 +11,11 @@ expresses (a, b, c) in terms of (p, q); the remaining equation becomes
 (the plane curve G = 0, with G = phi2^3 * F_4). The sixth intersection map
 sigma sends a section to its residual intersection with S, at fiber
 coordinate t = -F_5 / F_6. The (-1)-curves through Q are F_4 = F_5 = F_6 = 0.
+
+`section_curve` gives c1..c9, G, the lift (a, b, c), F_4 = phi2^-3 G and
+F_5, F_6 in closed form. tests/test_closed_forms.py proves these once, over
+QQ(p, q, x0, y0, f, g) and hence over GF(p) for p >= 5, against the section
+substitution; `build` checks its inputs and recomputes no F_i.
 """
 
 from __future__ import annotations
@@ -54,8 +59,6 @@ class CQ5Data:
     f: tuple                 # f0..f4
     g: tuple                 # g0..g6
     phis: PhiValues
-    h: tuple                 # h1..h6 (index 0 = h1)
-    l: tuple                 # l1..l6
     c: tuple                 # c1..c9 (index 0 = c1)
     G: BiPoly
     F4: BiPoly
@@ -81,9 +84,6 @@ class CQ5Data:
                             a=self.lift_a(p, q), b=self.lift_b(p, q),
                             c=self.lift_c(p, q), p=p, q=q)
 
-    def on_curve(self, p, q) -> bool:
-        return not self.G(p, q)
-
 
 def section_f_coefficients(S: Dp1Surface, C: SectionCurve) -> list:
     """F_0..F_6 read off as the coefficients of the section-surface form
@@ -91,33 +91,14 @@ def section_f_coefficients(S: Dp1Surface, C: SectionCurve) -> list:
     return list(section_surface_form(C, S).coeffs)
 
 
-def f_formulas(S: Dp1Surface, x0, y0, a, b, c, p, q) -> list:
-    """F_0..F_6 by the closed formulas, for arbitrary (a,b,c,p,q); each input
-    may be a FieldElement or a BiPoly."""
-    f = list(S.f.coeffs) + [S.field.zero, S.field.zero]  # f5 = f6 = 0
-    g = list(S.g.coeffs)
-    F0 = -y0 ** 2 + x0 ** 3 + f[0] * x0 + g[0]  # zero exactly when Q is on S
-    F1 = -2 * y0 * a + (3 * x0 ** 2 + f[0]) * p + f[1] * x0 + g[1]
-    F2 = (-a * a - 2 * y0 * b + 3 * x0 * p ** 2 + f[1] * p
-          + (3 * x0 ** 2 + f[0]) * q + f[2] * x0 + g[2])
-    F3 = (-2 * a * b - 2 * y0 * c + p ** 3 + 6 * x0 * p * q
-          + f[2] * p + f[1] * q + f[3] * x0 + g[3])
-    F4 = (-2 * a * c - b * b + 3 * p ** 2 * q + f[3] * p + 3 * x0 * q ** 2
-          + f[2] * q + f[4] * x0 + g[4])
-    F5 = -2 * b * c + 3 * p * q ** 2 + f[4] * p + f[3] * q + g[5]
-    F6 = -c * c + q ** 3 + f[4] * q + g[6]
-    return [F0, F1, F2, F3, F4, F5, F6]
-
-
 def section_constants(f, g, x0, v: PhiValues):
-    """h1..h6, l1..l6 and c1..c9 from f0..f6 (f5 = f6 = 0), g0..g6, x0 and
-    the Phi values at x0. Field-generic: used over the base field and over
-    the function field Q(x0)."""
+    """h1..h4, l1..l3 and c1..c9 from f0..f4, g0..g4, x0 and the Phi values
+    at x0. Field-generic: used over the base field and over the function
+    field Q(x0)."""
     psi, p2, p3, p4 = v.psi, v.phi2, v.phi3, v.phi4
-    h = tuple((f[i] * x0 + g[i]) * p2 ** (i - 1) for i in range(1, 7))
-    l = tuple(f[i] * p2 ** i - h[i - 1] * psi for i in range(1, 7))
-    h1, h2, h3, h4 = h[0], h[1], h[2], h[3]
-    l1, l2, l3 = l[0], l[1], l[2]
+    h1, h2, h3, h4 = ((f[i] * x0 + g[i]) * p2 ** (i - 1) for i in range(1, 5))
+    l1, l2, l3 = (f[i] * p2 ** i - h * psi
+                  for i, h in zip(range(1, 4), (h1, h2, h3)))
     c1 = p2 ** 2 * p3
     c2 = -3 * p2 * p4
     c3 = -2 * p2 * (l1 * psi + 2 * h1 * p3)
@@ -129,7 +110,32 @@ def section_constants(f, g, x0, v: PhiValues):
     c8 = ((4 * h1 ** 3 - 2 * h1 * h2) * psi - 6 * l1 * h1 ** 2
           + 2 * l1 * h2 + 2 * l2 * h1 - l3)
     c9 = 5 * h1 ** 4 - 6 * h1 ** 2 * h2 + 2 * h1 * h3 + h2 ** 2 - h4
-    return h, l, (c1, c2, c3, c4, c5, c6, c7, c8, c9)
+    return (h1, h2, h3), (l1, l2), (c1, c2, c3, c4, c5, c6, c7, c8, c9)
+
+
+def section_curve(f, g, x0, y0, v: PhiValues, P, Q):
+    """c1..c9, G, the lift (a, b, c) and (F4, F5, F6) in the variables P, Q.
+    Field-generic: P and Q are BiPoly variables over the base field here,
+    generators of a rational function field in tests/test_closed_forms.py."""
+    psi, p2, p3, p4 = v.psi, v.phi2, v.phi3, v.phi4
+    (h1, h2, h3), (l1, l2), c = section_constants(f, g, x0, v)
+    c1, c2, c3, c4, c5, c6, c7, c8, c9 = c
+    G = (c1 * Q ** 2 + (c2 * P ** 2 + c3 * P + c4) * Q
+         - (c5 * P ** 4 + c6 * P ** 3 + c7 * P ** 2 + c8 * P + c9))
+    # the lift: solve F1 = F2 = F3 = 0 for a, b, c
+    inv4y0 = 1 / (4 * y0)
+    a = (psi * P + 2 * h1) * inv4y0
+    b = ((psi * p2) * Q + (2 * p3) * P ** 2 + (2 * l1) * P
+         + (2 * h2 - 2 * h1 ** 2)) * (inv4y0 / p2)
+    zeta = p2 * ((2 * p3) * P + l1)
+    eta = (-p4 * P ** 3 - (2 * h1 * p3 + l1 * psi) * P ** 2
+           + (l2 - 2 * h1 * l1 + h1 ** 2 * psi) * P
+           + (h3 - 2 * h1 * h2 + 2 * h1 ** 3))
+    cc = (zeta * Q + eta) * (1 / (2 * y0 * p2 ** 2))
+    F4 = G * (1 / p2 ** 3)
+    F5 = 3 * P * Q ** 2 + f[4] * P + f[3] * Q + g[5] - 2 * b * cc
+    F6 = Q ** 3 + f[4] * Q + g[6] - cc * cc
+    return c, G, (a, b, cc), (F4, F5, F6)
 
 
 def build(S: Dp1Surface, Q: WeightedPoint) -> CQ5Data:
@@ -142,45 +148,16 @@ def build(S: Dp1Surface, Q: WeightedPoint) -> CQ5Data:
     if not y0:
         raise TwoTorsionPoint("y0 = 0: Q is fixed by y -> -y")
     K = S.field
-    f = tuple(S.f.coeffs) + (K.zero, K.zero)   # f0..f6 with f5 = f6 = 0
-    g = tuple(S.g.coeffs)
+    f, g = tuple(S.f.coeffs), tuple(S.g.coeffs)
     v = phi_values(f[0], g[0], x0)
-    psi, p2, p3, p4 = v.psi, v.phi2, v.phi3, v.phi4
-    if p2 != 4 * y0 ** 2:
+    if v.phi2 != 4 * y0 ** 2:
         raise ExactAlgError("phi2 != 4 y0^2: Q not on its fiber")
-    h, l, c = section_constants(f, g, x0, v)
-    h1, h2, h3 = h[0], h[1], h[2]
-    l1, l2 = l[0], l[1]
-    c1, c2, c3, c4, c5, c6, c7, c8, c9 = c
-    if not c1 and not c2:
+    c, G, (a, b, cc), (F4, F5, F6) = section_curve(
+        f, g, x0, y0, v, BiPoly.var_p(K), BiPoly.var_q(K))
+    if not c[0] and not c[1]:
         raise ExactAlgError("c1 = c2 = 0: degenerate section curve")
-
-    P = BiPoly.var_p(K)
-    Qv = BiPoly.var_q(K)
-    G = (c1 * Qv ** 2 + (c2 * P ** 2 + c3 * P + c4) * Qv
-         - (c5 * P ** 4 + c6 * P ** 3 + c7 * P ** 2 + c8 * P + c9))
-
-    # the lift: solve F1 = F2 = F3 = 0 for a, b, c
-    inv4y0 = (4 * y0).inverse()
-    a = (psi * P + BiPoly.const(2 * h1)) * inv4y0
-    b = ((psi * p2) * Qv + (2 * p3) * P ** 2 + (2 * l1) * P
-         + BiPoly.const(2 * h2 - 2 * h1 ** 2)) * (inv4y0 * p2.inverse())
-    zeta = p2 * ((2 * p3) * P + BiPoly.const(l1))
-    eta = (-p4 * P ** 3 - (2 * h1 * p3 + l1 * psi) * P ** 2
-           + (l2 - 2 * h1 * l1 + h1 ** 2 * psi) * P
-           + BiPoly.const(h3 - 2 * h1 * h2 + 2 * h1 ** 3))
-    cc = (zeta * Qv + eta) * (2 * y0 * p2 ** 2).inverse()
-
-    F0, F1, F2, F3, F4, F5, F6 = f_formulas(
-        S, BiPoly.const(x0), BiPoly.const(y0), a, b, cc, P, Qv)
-    for name, Fi in (("F0", F0), ("F1", F1), ("F2", F2), ("F3", F3)):
-        if not Fi.is_zero():
-            raise ExactAlgError(f"{name} does not vanish after the lift")
-    if not (p2 ** 3 * F4) == G:
-        raise ExactAlgError("phi2^3 * F4 != G")
-    return CQ5Data(surface=S, x0=x0, y0=y0, f=f[:5], g=g, phis=v,
-                   h=h, l=l, c=c, G=G, F4=F4, F5=F5, F6=F6,
-                   lift_a=a, lift_b=b, lift_c=cc)
+    return CQ5Data(surface=S, x0=x0, y0=y0, f=f, g=g, phis=v, c=c, G=G,
+                   F4=F4, F5=F5, F6=F6, lift_a=a, lift_b=b, lift_c=cc)
 
 
 # ---------------------------------------------------------------------------

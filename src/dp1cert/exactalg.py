@@ -437,6 +437,7 @@ class QuotientExt(Field):
         self.var = modulus.var
         self.char = self.base.char
         self._m = self.base._to_ints(self.modulus.coeffs)
+        self._one = (self.base.one.rep,)
 
     def generator(self):
         return self(UniPoly(self.base, [0, 1], self.var))
@@ -468,6 +469,11 @@ class QuotientExt(Field):
         return tuple([self.base._neg(c) for c in a])
 
     def _mul(self, a, b):
+        # a factor one (a Horner step at w = 1) costs no reduction
+        if a == self._one:
+            return b
+        if b == self._one:
+            return a
         (A, da), (B, db) = self.base._ints_of(a), self.base._ints_of(b)
         return self._reduce(_int_mul(A, B), da * db)
 

@@ -17,7 +17,7 @@ from dp1cert.weier import (
     CurvePoint, WeierCurve, add, mul, _order_by_phi,
 )
 from dp1cert.cq5 import (
-    build, f_formulas, nodal_alpha_values, omega_points,
+    build, nodal_alpha_values, omega_points,
     section_f_coefficients, sigma_at_omega,
 )
 from dp1cert.certify import (
@@ -83,17 +83,14 @@ def test_criterion_02_f_oracle_chain():
             continue
         S, Q = pair
         data = build(S, Q)
-        # (i) closed formulas match the section-substitution coefficients
-        abcpq = [QQ(rng.randint(-4, 4)) for _ in range(5)]
-        section = data.section(abcpq[3], abcpq[4])
-        by_oracle = section_f_coefficients(S, section)
-        by_formula = f_formulas(S, Q.x, Q.y, section.a, section.b,
-                                section.c, section.p, section.q)
-        assert by_oracle == by_formula
-        # (ii) the lift kills F1, F2, F3 (F0 vanishes since Q is on S)
-        assert not any(by_formula[:4])
-        # (iii) phi2^3 F4 = G as polynomials in (p, q)
-        assert data.G == data.F4 * (data.phis.phi2 ** 3)
+        # (i) the lift kills F0..F3 of the section at a random (p, q), and
+        # F4..F6 there are the section-substitution coefficients
+        p, q = QQ(rng.randint(-4, 4)), QQ(rng.randint(-4, 4))
+        by_oracle = section_f_coefficients(S, data.section(p, q))
+        assert not any(by_oracle[:4])
+        assert by_oracle[4:] == [data.F4(p, q), data.F5(p, q), data.F6(p, q)]
+        # (ii) phi2^3 F4 = G at that point
+        assert data.phis.phi2 ** 3 * by_oracle[4] == data.G(p, q)
         done += 1
     report(2, time.monotonic() - t0, 10, "F-coefficient oracle chain, "
                                          "50 random (S, Q)")

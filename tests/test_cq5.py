@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from dp1cert.exactalg import QQ, BiPoly, PrimeField, UniPoly
+from dp1cert.exactalg import QQ, BiPoly, PrimeField, UniPoly, rational_roots
 from dp1cert.dp1 import (
     Dp1Surface, SectionCurve, WeightedPoint, involution, is_smooth,
     move_to_zero, section_surface_form,
@@ -14,7 +14,7 @@ from dp1cert.weier import (
 from dp1cert import instances
 from dp1cert.cq5 import (
     BothVanish, CQ5Data, ImageClass, MinusOneCurve, OmegaPoint,
-    TwoTorsionPoint, build, components, f_formulas,
+    TwoTorsionPoint, build, components,
     minus_one_rational_points, minus_one_scheme, nodal_alpha_values,
     nodal_limit_image, omega_points, section_f_coefficients, sigma,
     sigma_at_omega, vertical_test,
@@ -54,27 +54,42 @@ def build_random(rng, field=QQ):
 # construction invariants
 # ---------------------------------------------------------------------------
 
-def test_f_formulas_match_section_substitution():
+@pytest.mark.parametrize("K", [QQ, PrimeField(1009)], ids=["QQ", "GF1009"])
+def test_build_matches_section_substitution(K):
+    # at random (p, q) and at the points of G = 0 over p in -8..8: the lift
+    # kills F0..F3 of the section, F4..F6 are the section's coefficients
+    # and phi2^3 F4 = G, all read off the section-surface form; the order-3
+    # instances have G linear in q, so many points on G = 0 over QQ
     rng = random.Random(17)
-    for _ in range(25):
-        pair = random_normalized_pair(rng)
-        if pair is None:
-            continue
-        S, Q = pair
-        vals = [QQ(rng.randint(-4, 4)) for _ in range(5)]
-        a, b, c, p, q = vals
-        C = SectionCurve(x0=Q.x, y0=Q.y, a=a, b=b, c=c, p=p, q=q)
-        direct = section_f_coefficients(S, C)
-        closed = f_formulas(S, Q.x, Q.y, a, b, c, p, q)
-        assert direct == closed
+    datas = [build_random(rng, K) for _ in range(12)] + [
+        build(*inst(field=K)) for inst in (instances.order3_split_instance,
+                                           instances.order3_vertex_instance)]
+    on = off = 0
+    for data in datas:
+        pts = [(K(rng.randint(-9, 9)), K(rng.randint(-9, 9)))
+               for _ in range(3)]
+        rows = data.G.coeffs_in_q("p")
+        for pv in map(K, range(-8, 9)):
+            at_p = UniPoly(K, [r(pv) for r in rows], "q")
+            if at_p.degree() > 0:
+                pts += [(pv, qv) for qv in rational_roots(at_p)]
+        for pv, qv in pts:
+            F = section_f_coefficients(data.surface, data.section(pv, qv))
+            assert not any(F[:4])
+            assert F[4:] == [data.F4(pv, qv), data.F5(pv, qv),
+                             data.F6(pv, qv)]
+            G = data.G(pv, qv)
+            assert data.phis.phi2 ** 3 * F[4] == G
+            on, off = on + (not G), off + bool(G)
+    assert on >= 20 and off >= 40
 
 
 def test_build_invariants_random():
     rng = random.Random(23)
     for _ in range(15):
         data = build_random(rng)
-        # F1 = F2 = F3 = 0 and G = phi2^3 F4 are asserted inside build;
-        # check the completed-square leading-coefficient identity
+        # the closed forms are proven in test_closed_forms.py; check the
+        # completed-square leading-coefficient identity
         v = data.phis
         c1, c2, c5 = data.c[0], data.c[1], data.c[4]
         assert c2 ** 2 + 4 * c1 * c5 == v.phi2 ** 2 * (v.phi4 ** 2 - 4 * v.phi6)
